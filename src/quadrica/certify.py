@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from typing import Callable
 
 from . import __version__ as ENGINE_VERSION
 from .brauer import BrauerClass, ResidueProfile, residue_profile
@@ -111,20 +112,14 @@ class ArasonResult:
         return self.discriminant_nontrivial and self.alpha_ramified
 
 
-def pirutka_check(fiber: DiagForm, alpha: BrauerClass) -> PirutkaReport:
+def pirutka_check(disc: SquareClass, alpha_prof: ResidueProfile,
+                  beta_prof: ResidueProfile) -> PirutkaReport:
     """Residue-matching condition: wherever the residue of alpha is nonzero,
-    it must equal the residue of the Clifford invariant, and the
+    it must equal the residue of the Clifford invariant beta, and the
     discriminant must become a square in the completed local ring."""
-    s = fiber.surface
     problems: list[str] = []
-    try:
-        alpha_prof = residue_profile(alpha, s)
-        beta = clifford_invariant(fiber)
-        beta_prof = residue_profile(beta, s)
-    except UnsupportedCurveError as exc:
-        return PirutkaReport((), None, (str(exc),))
     divisors = sorted(set(alpha_prof.divisors()) | set(beta_prof.divisors()), key=str)
-    d_rep = RatFn(discriminant(fiber).representative())
+    d_rep = RatFn(disc.representative())
     rows: list[PirutkaRow] = []
     for c in divisors:
         try:
@@ -143,19 +138,17 @@ def pirutka_check(fiber: DiagForm, alpha: BrauerClass) -> PirutkaReport:
     return PirutkaReport(tuple(rows), all(r.satisfied for r in rows))
 
 
-def arason_nontriviality(fiber: DiagForm, alpha: BrauerClass) -> ArasonResult:
+def arason_nontriviality(disc: SquareClass, alpha_prof: ResidueProfile) -> ArasonResult:
     """Nontrivial discriminant makes the pullback to the quadric injective,
     so a class with a nonzero residue pulls back to a nonzero class."""
-    d = discriminant(fiber)
-    prof = residue_profile(alpha, fiber.surface)
-    witness = prof.divisors()[0] if not prof.is_empty else None
-    if d.is_trivial:
+    witness = alpha_prof.divisors()[0] if not alpha_prof.is_empty else None
+    if disc.is_trivial:
         note = "discriminant trivial: the pullback kernel is {1, clifford}"
-    elif prof.is_empty:
+    elif alpha_prof.is_empty:
         note = "class has no nonzero residue; nontriviality not witnessed"
     else:
         note = f"nonzero residue at {witness} and nontrivial discriminant"
-    return ArasonResult(not d.is_trivial, not prof.is_empty, witness, note)
+    return ArasonResult(not disc.is_trivial, not alpha_prof.is_empty, witness, note)
 
 
 # -------------------------------------------------------------- certificates
@@ -255,6 +248,28 @@ def select_rule_p1xp1(t: BundleType) -> str:
     return "C1" if d[0] % 2 == 0 else "C2"
 
 
+# Rule -> the first three entries as (x-block, y-block) monomials in the
+# slot's degree k of that block: "v" is v^k, "v*w" is v^(k-1)*w, "" is 1.
+# The fourth entry is the tail every rule shares.
+_P1XP1_RULES = {
+    "A1": (("x1", "y1"), ("x0", "y0*y1"), ("x0*x1", "y0")),
+    "A2": (("x0", "y1"), ("x0", "y0*y1"), ("x1", "y0")),
+    "A3": (("x1", "y0"), ("x0", "y1"), ("x0*x1", "y0")),
+    "A4": (("x0", "y0"), ("x0", "y1"), ("x1", "y0")),
+    "B1": (("x1", "y0*y1"), ("x0", ""), ("x0*x1", "y0")),
+    "B2": (("x0", "y0*y1"), ("x0", ""), ("x1", "y0")),
+    "C1": (("x1", ""), ("x0*x1", ""), ("x0", "y0*y1")),
+    "C2": (("x0", ""), ("x1", ""), ("x0", "y0*y1")),
+}
+
+
+def _block_exponents(mono: str, k: int) -> dict[str, int]:
+    if not mono:
+        return {}
+    first, *rest = mono.split("*")
+    return {first: k - len(rest), **{v: 1 for v in rest}}
+
+
 def _mono(s: SurfaceModel, **exps: int) -> Poly:
     for name, k in exps.items():
         if k < 0:
@@ -271,51 +286,11 @@ def construct_degeneration_p1xp1(t: BundleType, rule: str) -> DiagForm:
         return _cor53_form(t, rule)
     d = t.ds()
     e = t.es()
-    h = canonical_quadric(s)
-    m = lambda **kw: _mono(s, **kw)  # noqa: E731
-    tail = m(x0=d[3] - 3, y0=e[3] - 3, x1=1, y1=1) * h
-    if rule == "A1":
-        entries = (m(x1=d[0], y1=e[0]),
-                   m(x0=d[1], y0=e[1] - 1, y1=1),
-                   m(x0=d[2] - 1, x1=1, y0=e[2]),
-                   tail)
-    elif rule == "A2":
-        entries = (m(x0=d[0], y1=e[0]),
-                   m(x0=d[1], y0=e[1] - 1, y1=1),
-                   m(x1=d[2], y0=e[2]),
-                   tail)
-    elif rule == "A3":
-        entries = (m(x1=d[0], y0=e[0]),
-                   m(x0=d[1], y1=e[1]),
-                   m(x0=d[2] - 1, x1=1, y0=e[2]),
-                   tail)
-    elif rule == "A4":
-        entries = (m(x0=d[0], y0=e[0]),
-                   m(x0=d[1], y1=e[1]),
-                   m(x1=d[2], y0=e[2]),
-                   tail)
-    elif rule == "B1":
-        entries = (m(x1=d[0], y0=e[0] - 1, y1=1),
-                   m(x0=d[1]),
-                   m(x0=d[2] - 1, x1=1, y0=e[2]),
-                   tail)
-    elif rule == "B2":
-        entries = (m(x0=d[0], y0=e[0] - 1, y1=1),
-                   m(x0=d[1]),
-                   m(x1=d[2], y0=e[2]),
-                   tail)
-    elif rule == "C1":
-        entries = (m(x1=d[0]),
-                   m(x0=d[1] - 1, x1=1),
-                   m(x0=d[2], y0=e[2] - 1, y1=1),
-                   tail)
-    elif rule == "C2":
-        entries = (m(x0=d[0]),
-                   m(x1=d[1]),
-                   m(x0=d[2], y0=e[2] - 1, y1=1),
-                   tail)
-    else:
+    tail = _mono(s, x0=d[3] - 3, y0=e[3] - 3, x1=1, y1=1) * canonical_quadric(s)
+    if rule not in _P1XP1_RULES:
         raise ConstructionError(f"unknown rule {rule!r}")
+    entries = tuple(_mono(s, **_block_exponents(xm, d[i]), **_block_exponents(ym, e[i]))
+                    for i, (xm, ym) in enumerate(_P1XP1_RULES[rule])) + (tail,)
     form = make_diag_form(entries, s)
     if not is_weak_bundle(form):
         raise ConstructionError(f"rule {rule} produced non-coprime entries for {t}")
@@ -463,6 +438,14 @@ def build_certificate(t: BundleType, rule: str | None = None) -> Certificate:
                 if rule is None:
                     raise ConstructionError(f"type {t} is not in a certifiable branch")
         form = construct_degeneration_p1xp1(t, rule)
+    return _certify(t, rule, form, normalize_to_hpt)
+
+
+def _certify(t: BundleType, rule: str, form: DiagForm,
+             find_witness: Callable[[DiagForm], SimilarityWitness | None]) -> Certificate:
+    """The certificate links, in order, on a degeneration of type t; the
+    similarity witness comes from find_witness(fiber).  A failed link
+    raises CertifyError naming it."""
     s = form.surface
     if type_of(form).data != t.data:
         raise CertifyError(f"link type-match: {type_of(form)} != {t}")
@@ -471,7 +454,7 @@ def build_certificate(t: BundleType, rule: str | None = None) -> Certificate:
     if not weak:
         raise CertifyError(f"link weak-bundle: entries share the factor {g}")
     fiber = generic_fiber(form)
-    witness = normalize_to_hpt(fiber)
+    witness = find_witness(fiber)
     if witness is None:
         raise CertifyError("link similarity: fiber is not similar to the canonical quadric")
     if not verify_witness(fiber, witness):
@@ -480,16 +463,20 @@ def build_certificate(t: BundleType, rule: str | None = None) -> Certificate:
     disc = discriminant(fiber)
     if disc.is_trivial:
         raise CertifyError("link discriminant: trivial discriminant")
-    aras = arason_nontriviality(fiber, alpha)
+    alpha_prof = residue_profile(alpha, s)
+    aras = arason_nontriviality(disc, alpha_prof)
     if not aras.passed:
         raise CertifyError(f"link arason: {aras.note}")
-    pir = pirutka_check(fiber, alpha)
+    beta = clifford_invariant(fiber)
+    try:
+        beta_prof = residue_profile(beta, s)
+    except UnsupportedCurveError as exc:
+        raise CertifyError(f"link pirutka: inconclusive ({exc})") from exc
+    pir = pirutka_check(disc, alpha_prof, beta_prof)
     if pir.passed is None:
         raise CertifyError(f"link pirutka: inconclusive ({'; '.join(pir.problems)})")
     if not pir.passed:
         raise CertifyError("link pirutka: residue-matching condition failed")
-    alpha_prof = residue_profile(alpha, s)
-    beta = clifford_invariant(fiber)
     conclusion = (
         f"degeneration:{rule}",
         "weak-bundle-integrality",
@@ -522,46 +509,18 @@ def build_certificate(t: BundleType, rule: str | None = None) -> Certificate:
 
 
 def replay_certificate(cert: Certificate) -> bool:
-    """Recompute every boolean in the certificate from its stored data."""
-    form = cert.degeneration
-    fiber = cert.fiber
-    s = form.surface
-    if type_of(form).data != cert.input_type.data:
+    """Rerun the build chain on the stored degeneration with the stored
+    similarity witness; the certificate holds iff every link passes and
+    the result equals the stored certificate field by field."""
+    try:
+        fresh = _certify(cert.input_type, cert.rule, cert.degeneration,
+                         lambda fiber: cert.similarity)
+    except CertifyError:
         return False
-    if is_weak_bundle(form) != cert.weak_bundle_ok or not cert.weak_bundle_ok:
-        return False
-    if generic_fiber(form) != fiber:
-        return False
-    if not verify_witness(fiber, cert.similarity):
-        return False
-    if discriminant(fiber) != cert.discriminant or cert.discriminant.is_trivial:
-        return False
-    if residue_profile(cert.alpha, s) != cert.alpha_residues:
-        return False
-    if clifford_invariant(fiber) != cert.clifford:
-        return False
-    aras = arason_nontriviality(fiber, cert.alpha)
-    if (aras.discriminant_nontrivial, aras.alpha_ramified) != (
-            cert.arason.discriminant_nontrivial, cert.arason.alpha_ramified):
-        return False
-    if not aras.passed:
-        return False
-    pir = pirutka_check(fiber, cert.alpha)
-    if pir.passed is not True or cert.pirutka.passed is not True:
-        return False
-    if len(pir.rows) != len(cert.pirutka.rows):
-        return False
-    for fresh, stored in zip(pir.rows, cert.pirutka.rows):
-        if fresh != stored:
-            return False
-    return True
+    return fresh == cert
 
 
 # --------------------------------------------------------------------- JSON
-
-
-def _ratfn_str(f: RatFn) -> str:
-    return str(f)
 
 
 def certificate_json(cert: Certificate) -> dict:
@@ -577,8 +536,8 @@ def certificate_json(cert: Certificate) -> dict:
         "weak_bundle": {"ok": cert.weak_bundle_ok, "gcd": format_poly(cert.weak_gcd)},
         "fiber": [format_poly(e) for e in cert.fiber.entries],
         "similarity": {
-            "scale": _ratfn_str(sim.scale),
-            "square_factors": [_ratfn_str(q) for q in sim.square_factors],
+            "scale": str(sim.scale),
+            "square_factors": [str(q) for q in sim.square_factors],
             "units": [str(u) for u in sim.units],
             "permutation": list(sim.permutation),
         },
@@ -601,7 +560,7 @@ def certificate_json(cert: Certificate) -> dict:
                     "hensel": {
                         "valuation": r.hensel.valuation,
                         "unit_restriction": (None if r.hensel.unit_restriction is None
-                                             else _ratfn_str(r.hensel.unit_restriction)),
+                                             else str(r.hensel.unit_restriction)),
                         "is_square": r.hensel.is_square,
                         "passed": r.hensel.passed,
                     },

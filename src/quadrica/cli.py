@@ -186,14 +186,24 @@ def cmd_table(args) -> int:
     types = (enumerate_types_p2(args.bound) if args.surface == "p2"
              else enumerate_types_p1xp1(args.bound))
     jobs = [(args.surface, data, args.output) for data in types]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, _usable_cpus())
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_table_row, jobs, chunksize=8))
     else:
         rows = [_table_row(j) for j in jobs]
     for _, row in rows:   # enumeration order is already canonical
         print(row)
     return 0
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; more workers than that only add
+    processes."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # platforms without affinity masks
+        return os.cpu_count() or 1
 
 
 def _default_jobs() -> int:
@@ -234,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab = sub.add_parser("table", help="verdict sweep over all types up to a bound")
     p_tab.add_argument("--surface", choices=("p2", "p1xp1"), required=True)
     p_tab.add_argument("--bound", type=int, required=True)
-    p_tab.add_argument("--jobs", type=int, default=_default_jobs())
+    p_tab.add_argument("--jobs", type=int, default=_default_jobs(),
+                       help="worker processes, capped at the usable CPU count")
     p_tab.add_argument("--output", choices=("text", "json"), default="text")
     p_tab.set_defaults(func=cmd_table)
     return ap

@@ -26,11 +26,13 @@ from .poly import (
     RatFn,
     as_ratfn,
     degree_profile,
+    det3,
+    divide_out,
     exact_div,
     factor,
     format_poly,
+    gram_matrix,
     is_irreducible,
-    multiplicity,
     normalize,
     poly_gcd,
     square_class_part,
@@ -185,8 +187,16 @@ def valuation_along(f: RatFn | Poly, c: PrimeDivisor) -> int:
     f = as_ratfn(f)
     if f.is_zero():
         raise PolyError("valuation of zero is undefined")
+    return _unit_part(f, c)[0]
+
+
+def _unit_part(f: RatFn, c: PrimeDivisor) -> tuple[int, Poly, Poly]:
+    """The valuation of the nonzero f along c, and the graded pair of f with
+    every power of c divided out of both members."""
     pn, pd = graded_pair(c.surface, f)
-    return multiplicity(pn, c.poly) - multiplicity(pd, c.poly)
+    vn, pn = divide_out(pn, c.poly)
+    vd, pd = divide_out(pd, c.poly)
+    return vn - vd, pn, pd
 
 
 # -------------------------------------------------------------- square classes
@@ -234,10 +244,6 @@ def square_class(f: RatFn | Poly) -> SquareClass:
             counts[q] = counts.get(q, 0) + e
     support = frozenset(q for q, e in counts.items() if e % 2)
     return SquareClass(f.variables, support)
-
-
-def multiply_classes(a: SquareClass, b: SquareClass) -> SquareClass:
-    return a * b
 
 
 @dataclass(frozen=True)
@@ -320,43 +326,22 @@ def _int_coeffs(p: Poly, names: tuple[str, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _gram(C: Poly, names: tuple[str, str, str]) -> list[list]:
-    from fractions import Fraction
-    idx = [C.variables.index(n) for n in names]
-
-    def coeff(i: int, j: int) -> Fraction:
-        e = [0] * len(C.variables)
-        e[idx[i]] += 1
-        e[idx[j]] += 1
-        return C.coefficient(tuple(e))
-
-    M = [[Fraction(0)] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            M[i][j] = coeff(i, i) if i == j else coeff(i, j) / 2
-    return M
-
-
-def _search_conic_point(C: Poly, names: tuple[str, str, str], bound: int) -> tuple[int, int, int] | None:
-    """First projective rational point of height <= bound on the conic, in
-    lexicographic scan order by growing height shells.  A definite Gram
-    matrix has no real zero at all, so the search is skipped."""
-    M = _gram(C, names)
+def _search_conic_point(C: Poly, bound: int) -> tuple[int, int, int] | None:
+    """First projective rational point of height <= bound on the ternary
+    conic, in lexicographic scan order by growing height shells.  A definite
+    Gram matrix has no real zero at all, so the search is skipped."""
+    M = gram_matrix(C, (0, 1, 2))
     m1 = M[0][0]
     m2 = M[0][0] * M[1][1] - M[0][1] * M[1][0]
-    m3 = (M[0][0] * (M[1][1] * M[2][2] - M[1][2] * M[2][1])
-          - M[0][1] * (M[1][0] * M[2][2] - M[1][2] * M[2][0])
-          + M[0][2] * (M[1][0] * M[2][1] - M[1][1] * M[2][0]))
+    m3 = det3(M)
     if (m1 > 0 and m2 > 0 and m3 > 0) or (m1 < 0 and m2 > 0 and m3 < 0):
         return None
 
     # integer evaluation: clear denominators once
-    idx = [C.variables.index(n) for n in names]
     L = 1
     for c in C._terms.values():
         L = L * c.denominator // _int_gcd(L, c.denominator)
-    terms = [((e[idx[0]], e[idx[1]], e[idx[2]]), int(c * L))
-             for e, c in C._terms.items()]
+    terms = [(e, int(c * L)) for e, c in C._terms.items()]
 
     def value(a: int, b: int, c: int) -> int:
         total = 0
@@ -419,11 +404,11 @@ def parametrize(c: PrimeDivisor) -> CurveParam:
             coords = tuple(Poly.const(T_VARS, vb[k]) + t * va[k] for k in range(3))
             param = CurveParam(c, coords, None)
         elif d == 2:
-            pt = _search_conic_point(c.poly, ("x", "y", "z"), CONIC_POINT_HEIGHT_BOUND)
+            pt = _search_conic_point(c.poly, CONIC_POINT_HEIGHT_BOUND)
             if pt is None:
                 raise UnsupportedCurveError(
                     f"no rational point of height <= {CONIC_POINT_HEIGHT_BOUND} on {c}")
-            coords = _conic_param_checked(c.poly, ("x", "y", "z"), pt)
+            coords = _conic_param_checked(c.poly, pt)
             param = CurveParam(c, coords, pt)
         else:
             raise UnsupportedCurveError(f"degree-{d} curve {c} on p2 is unsupported")
@@ -458,11 +443,11 @@ def parametrize(c: PrimeDivisor) -> CurveParam:
             U, V, W = (Poly.const(T_VARS, vb[k]) + t * va[k] for k in range(3))
             pt3 = None
         else:
-            pt3 = _search_conic_point(g, aux_vars, CONIC_POINT_HEIGHT_BOUND)
+            pt3 = _search_conic_point(g, CONIC_POINT_HEIGHT_BOUND)
             if pt3 is None:
                 raise UnsupportedCurveError(
                     f"no rational point of height <= {CONIC_POINT_HEIGHT_BOUND} on {c}")
-            U, V, W = _conic_param_checked(g, aux_vars, pt3)
+            U, V, W = _conic_param_checked(g, pt3)
         x0, x1 = _reduce_pair(W, U)
         y0, y1 = _reduce_pair(W, V)
         coords = (x0, x1, y0, y1)
@@ -483,25 +468,16 @@ def _to_plane(chart: Poly, chart_vars: tuple[str, ...], aux: tuple[str, str, str
     return Poly(aux, terms)
 
 
-def _conic_param_checked(C: Poly, names: tuple[str, str, str], pt) -> tuple[Poly, Poly, Poly]:
-    coords = _conic_param_raw(C, names, pt)
-    # verify C(coords) == 0 in the t-ring
-    comp = Poly.zero(T_VARS)
-    idx = [C.variables.index(n) for n in names]
-    for e, c in C._terms.items():
-        term = Poly.const(T_VARS, c)
-        for k, i in enumerate(idx):
-            if e[i]:
-                term = term * coords[k] ** e[i]
-        comp = comp + term
-    if not comp.is_zero():
+def _conic_param_checked(C: Poly, pt) -> tuple[Poly, Poly, Poly]:
+    coords = _conic_param_raw(C, pt)
+    if not _compose(C, coords).is_zero():
         raise PolyError("conic parametrization failed verification")
     return coords
 
 
-def _conic_param_raw(C: Poly, names: tuple[str, str, str], point) -> tuple[Poly, Poly, Poly]:
+def _conic_param_raw(C: Poly, point) -> tuple[Poly, Poly, Poly]:
     from fractions import Fraction
-    M = _gram(C, names)
+    M = gram_matrix(C, (0, 1, 2))
 
     def mdot(u, v) -> Fraction:
         return sum(u[i] * M[i][j] * v[j] for i in range(3) for j in range(3))
@@ -512,10 +488,7 @@ def _conic_param_raw(C: Poly, names: tuple[str, str, str], point) -> tuple[Poly,
     for i in range(len(base)):
         for j in range(i + 1, len(base)):
             Qa, Qb = base[i], base[j]
-            det = (P[0] * (Qa[1] * Qb[2] - Qa[2] * Qb[1])
-                   - P[1] * (Qa[0] * Qb[2] - Qa[2] * Qb[0])
-                   + P[2] * (Qa[0] * Qb[1] - Qa[1] * Qb[0]))
-            if det == 0:
+            if det3((P, Qa, Qb)) == 0:
                 continue
             if mdot(P, Qa) == 0 and mdot(P, Qb) == 0:
                 continue
@@ -560,26 +533,15 @@ def restrict_unit(f: RatFn | Poly, c: PrimeDivisor) -> RatFn:
     f = as_ratfn(f)
     if f.is_zero():
         raise PolyError("cannot restrict zero")
-    pn, pd = graded_pair(c.surface, f)
-    vn = multiplicity(pn, c.poly)
-    vd = multiplicity(pd, c.poly)
-    if vn != vd:
-        raise PolyError(f"{f} is not a unit along {c} (valuation {vn - vd})")
-    if vn:
-        pn = exact_div(pn, c.poly ** vn)
-        pd = exact_div(pd, c.poly ** vd)
-        assert pn is not None and pd is not None
+    v, pn, pd = _unit_part(f, c)
+    if v:
+        raise PolyError(f"{f} is not a unit along {c} (valuation {v})")
     param = parametrize(c)
     num_t = _compose(pn, param.coords)
     den_t = _compose(pd, param.coords)
     if den_t.is_zero() or num_t.is_zero():
         raise PolyError(f"restriction of {f} to {c} degenerated")
     return RatFn(num_t, den_t)
-
-
-def is_square_on_curve(f: RatFn | Poly, c: PrimeDivisor) -> bool:
-    """True iff f, a unit along c, restricts to a square in C(curve)."""
-    return CurveClass.from_ratfn(restrict_unit(f, c)).is_trivial
 
 
 @dataclass(frozen=True)
@@ -609,18 +571,9 @@ def hensel_report(d: RatFn | Poly, c: PrimeDivisor) -> HenselWitness:
     if d.is_zero():
         raise PolyError("discriminant is zero")
     s = c.surface
-    v = valuation_along(d, c)
+    v, pn, pd = _unit_part(d, c)
     if v % 2 != 0:
         return HenselWitness(c, v, None, None, False)
-    pn, pd = graded_pair(s, d)
-    vn = multiplicity(pn, c.poly)
-    vd = multiplicity(pd, c.poly)
-    if vn:
-        pn = exact_div(pn, c.poly ** vn)
-        assert pn is not None
-    if vd:
-        pd = exact_div(pd, c.poly ** vd)
-        assert pd is not None
     # rebalance degrees with boundary-side units; the exponent shift is
     # v * deg(pi) per block, even, so the square class on the curve is safe
     if s.kind == "p2":
@@ -653,7 +606,3 @@ def hensel_report(d: RatFn | Poly, c: PrimeDivisor) -> HenselWitness:
     r = RatFn(num_t, den_t)
     ok = CurveClass.from_ratfn(r).is_trivial
     return HenselWitness(c, v, r, ok, ok)
-
-
-def hensel_square_test(d: RatFn | Poly, c: PrimeDivisor) -> bool:
-    return hensel_report(d, c).passed

@@ -17,7 +17,9 @@ splitting of degenerate conics, a Gram-determinant irreducibility
 certificate for conics, and block-content plus discriminant analysis
 for bihomogeneous forms of bidegree at most (2,2).  Anything outside
 that class raises FactorError instead of returning an unverified
-answer.
+answer.  Irreducible means irreducible over the algebraic closure of Q,
+the constant field the engine assumes: a quadratic that splits only over
+an extension of Q is outside the class.
 """
 
 from __future__ import annotations
@@ -507,12 +509,14 @@ def exact_div(p: Poly, d: Poly) -> Poly | None:
     return Poly._raw(p.variables, out)
 
 
-def divides(d: Poly, p: Poly) -> bool:
-    return exact_div(p, d) is not None
-
-
 def multiplicity(p: Poly, d: Poly) -> int:
     """Largest k with d^k | p (p nonzero, d non-constant)."""
+    return divide_out(p, d)[0]
+
+
+def divide_out(p: Poly, d: Poly) -> tuple[int, Poly]:
+    """(k, p / d^k) for the largest k with d^k | p (p nonzero, d
+    non-constant)."""
     if p.is_zero():
         raise PolyError("multiplicity in the zero polynomial is undefined")
     if d.is_zero() or d.is_constant():
@@ -521,7 +525,7 @@ def multiplicity(p: Poly, d: Poly) -> int:
     while True:
         q = exact_div(p, d)
         if q is None:
-            return k
+            return k, p
         p = q
         k += 1
 
@@ -758,14 +762,6 @@ class FactoredPoly:
     unit: Fraction
     factors: tuple[tuple[Poly, int], ...]
 
-    def expand(self) -> Poly:
-        if not self.factors:
-            raise PolyError("cannot expand a factorization with no factors and no variables")
-        acc = Poly.const(self.factors[0][0].variables, self.unit)
-        for q, e in self.factors:
-            acc = acc * q ** e
-        return acc
-
     def expand_over(self, variables: Sequence[str]) -> Poly:
         acc = Poly.const(variables, self.unit)
         for q, e in self.factors:
@@ -793,36 +789,54 @@ def _block_content(p: Poly, group: tuple[int, ...]) -> Poly:
     return gcd_all([Poly._raw(p.variables, t) for t in groups.values()])
 
 
-def _quadratic_in(p: Poly, name: str) -> tuple[Poly, Poly, Poly]:
-    """Write p = A*v^2 + B*v + C in the variable name."""
-    vi = p._index(name)
-    parts: dict[int, dict[Exponents, Fraction]] = {0: {}, 1: {}, 2: {}}
-    for e, c in p._terms.items():
-        k = e[vi]
-        ne = list(e)
-        ne[vi] = 0
-        parts[k][tuple(ne)] = c
-    return tuple(Poly._raw(p.variables, parts[k]) for k in (2, 1, 0))  # type: ignore[return-value]
+def gram_matrix(q: Poly, slots: Sequence[int | None]) -> list[list[Fraction]]:
+    """Symmetric 3x3 matrix M with q = sum of M[i][j] * s_i * s_j over three
+    slots s_i, each a variable index or None for the constant 1 (at most
+    one None: two constant slots would count the constant term twice)."""
+
+    def coeff(i: int, j: int) -> Fraction:
+        e = [0] * len(q.variables)
+        for k in (slots[i], slots[j]):
+            if k is not None:
+                e[k] += 1
+        c = q.coefficient(tuple(e))
+        return c if i == j else c / 2
+
+    return [[coeff(i, j) for j in range(3)] for i in range(3)]
+
+
+def det3(M: Sequence[Sequence[Scalar]]) -> Scalar:
+    """Determinant of a 3x3 matrix."""
+    return (M[0][0] * (M[1][1] * M[2][2] - M[1][2] * M[2][1])
+            - M[0][1] * (M[1][0] * M[2][2] - M[1][2] * M[2][0])
+            + M[0][2] * (M[1][0] * M[2][1] - M[1][1] * M[2][0]))
 
 
 def _split_quadratic_by_formula(s: Poly, name: str) -> list[Poly] | None:
-    """Try to split s (quadratic in `name`, total degree 2) into two linear
-    factors via the discriminant; None when it is not a rational square."""
-    A, B, C = _quadratic_in(s, name)
+    """Split s = A*v^2 + B*v + C, of degree 2 in v = `name`, into two factors
+    of degree 1 in v via the discriminant B^2 - 4AC, stripping the content
+    in v from each factor.  None when the discriminant is not a constant
+    times a square, so that s is irreducible even over the algebraic
+    closure; FactorError when s splits only over an extension of Q."""
+    vi = s._index(name)
+    cs = _coeffs_in(s, vi)
+    zero = Poly.zero(s.variables)
+    A, B, C = (cs.get(k, zero) for k in (2, 1, 0))
     disc = B * B - A * C * 4
     sq = poly_sqrt(disc)
     if sq is None:
+        if square_class_part(disc).is_constant():
+            raise FactorError(
+                f"{s} splits only over an extension of Q; outside the supported class")
         return None
     v = Poly.var(s.variables, name)
     for root in (sq, -sq):
-        f = A * v * 2 + B - root   # A is constant here, so f is linear
-        if f.is_zero():
-            continue
-        f = normalize(f)
+        f = A * v * 2 + B - root   # nonzero: A != 0
+        f = normalize(exact_div(f, _content_in(f, vi)))  # type: ignore[arg-type]
         g = exact_div(s, f)
         if g is not None:
             return [f, normalize(g)]
-    return None
+    raise FactorError(f"the rational split of {s} failed verification")
 
 
 def _factor_quadratic(s: Poly) -> list[Poly]:
@@ -834,38 +848,20 @@ def _factor_quadratic(s: Poly) -> list[Poly]:
         raise FactorError(
             f"quadratic {s} needs more than three slots; outside the supported class")
 
-    # Gram matrix over slots (v1, v2, v3) or (v1, v2, 1).
-    slots: list[Poly | None] = [Poly.var(s.variables, v) for v in eff]
-    while len(slots) < 3:
-        slots.append(None)  # the constant slot
-
-    def coeff_of(a: Poly | None, b: Poly | None) -> Fraction:
-        m = Poly.const(s.variables, 1)
-        if a is not None:
-            m = m * a
-        if b is not None:
-            m = m * b
-        e = next(iter(m._terms))
-        return s.coefficient(e)
-
-    M = [[Fraction(0)] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                M[i][j] = coeff_of(slots[i], slots[i])
-            else:
-                M[i][j] = coeff_of(slots[i], slots[j]) / 2
-    det = (M[0][0] * (M[1][1] * M[2][2] - M[1][2] * M[2][1])
-           - M[0][1] * (M[1][0] * M[2][2] - M[1][2] * M[2][0])
-           + M[0][2] * (M[1][0] * M[2][1] - M[1][1] * M[2][0]))
-    if det != 0:
-        return [s]  # smooth conic: irreducible (even over C)
+    # Gram matrix over slots (v1, v2, v3) or (v1, v2, 1).  A quadratic in a
+    # single variable has only the slots (v1, 1) and is always degenerate.
+    if len(eff) > 1:
+        slots = [s._index(v) for v in eff] + [None] * (3 - len(eff))
+        if det3(gram_matrix(s, slots)) != 0:
+            return [s]  # smooth conic: irreducible (even over C)
 
     # Degenerate conic: try a rational split.
     for name in eff:
         if s.degree_in(name) == 2:
             got = _split_quadratic_by_formula(s, name)
-            return got if got is not None else [s]
+            if got is None:
+                raise FactorError(f"degenerate conic {s} did not split")
+            return got
     # Multilinear: a*u*v + b*u + c*v + d with det == 0 forcing a*d == b*c.
     if len(eff) != 2:
         raise FactorError(f"degenerate multilinear quadratic {s} not recognized")
@@ -876,7 +872,7 @@ def _factor_quadratic(s: Poly) -> list[Poly]:
                       tuple(1 if n == v else 0 for n in s.variables))))
     g = exact_div(s, f)
     if g is None:
-        return [s]
+        raise FactorError(f"degenerate multilinear quadratic {s} did not split")
     return [f, normalize(g)]
 
 
@@ -907,39 +903,10 @@ def _factor_bihom(s: Poly) -> list[Poly]:
         # content-free (1,1), (2,1), (1,2): every factor meets both blocks,
         # and no product of smaller such bidegrees fits — irreducible.
         return [s]
-    # content-free (2,2): the only possible split is (1,1) x (1,1)
-    x0, x1 = (Poly.var(s.variables, v) for v in va)
-    A, B, C = _quadratic_in_pair(s, va)
-    disc = B * B - A * C * 4
-    sq = poly_sqrt(disc)
-    if sq is None:
-        return [s]
-    for root in (sq, -sq):
-        f = A * x0 * 2 + (B - root) * x1
-        if f.is_zero():
-            continue
-        cf = _block_content(f, xi)
-        f0 = exact_div(f, cf)
-        assert f0 is not None
-        f0 = normalize(f0)
-        g = exact_div(s, f0)
-        if g is not None:
-            return [f0, normalize(g)]
-    return [s]
-
-
-def _quadratic_in_pair(p: Poly, pair: tuple[str, str]) -> tuple[Poly, Poly, Poly]:
-    """Write a bihomogeneous p of x-degree 2 as A*x0^2 + B*x0*x1 + C*x1^2."""
-    i0 = p._index(pair[0])
-    i1 = p._index(pair[1])
-    parts: dict[int, dict[Exponents, Fraction]] = {0: {}, 1: {}, 2: {}}
-    for e, c in p._terms.items():
-        k = e[i0]
-        ne = list(e)
-        ne[i0] = 0
-        ne[i1] = 0
-        parts[k][tuple(ne)] = c
-    return tuple(Poly._raw(p.variables, parts[k]) for k in (2, 1, 0))  # type: ignore[return-value]
+    # content-free (2,2): the only possible split is (1,1) x (1,1), read off
+    # as a quadratic in x0 whose coefficients carry the y-block
+    got = _split_quadratic_by_formula(s, va[0])
+    return [s] if got is None else got
 
 
 def _factor_squarefree(s: Poly) -> list[Poly]:
@@ -960,7 +927,8 @@ def _factor_squarefree(s: Poly) -> list[Poly]:
 
 @lru_cache(maxsize=None)
 def factor(p: Poly) -> FactoredPoly:
-    """Complete irreducible factorization over Q within the supported class."""
+    """Complete factorization over Q within the supported class; every
+    factor is irreducible over the algebraic closure of Q."""
     if p.is_zero():
         raise PolyError("cannot factor the zero polynomial")
     unit, w = normalized_with_unit(p)

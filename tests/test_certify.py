@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from quadrica.brauer import EMPTY_CLASS, symbol
+from quadrica.brauer import EMPTY_CLASS, residue_profile, symbol
 from quadrica.certify import (
     NOT_STABLY_RATIONAL,
     OPEN,
@@ -26,15 +26,19 @@ from quadrica.certify import (
     pirutka_check,
     replay_certificate,
     select_rule_p1xp1,
+    verdict_for,
     verdict_p1xp1,
     verdict_p2,
 )
+from quadrica.funfield import CurveClass
 from quadrica.poly import Poly
 from quadrica.quadform import (
     BundleType,
     QuadformError,
     canonical_quadric,
     chart_quadric,
+    clifford_invariant,
+    discriminant,
     hpt_alpha,
     is_weak_bundle,
     make_affine_form,
@@ -43,6 +47,16 @@ from quadrica.quadform import (
 )
 
 from conftest import P2_VARS
+
+
+def pirutka(fiber, alpha):
+    s = fiber.surface
+    return pirutka_check(discriminant(fiber), residue_profile(alpha, s),
+                         residue_profile(clifford_invariant(fiber), s))
+
+
+def arason(fiber, alpha):
+    return arason_nontriviality(discriminant(fiber), residue_profile(alpha, fiber.surface))
 
 
 # ------------------------------------------------------------- p2 verdicts
@@ -95,7 +109,7 @@ def test_construct_degeneration_p2(p2, F, xyz):
 def test_pirutka_check_hpt(p2, Fb, xyz):
     x, y, _ = xyz
     fiber = make_affine_form((y, x, x * y, Fb), p2)
-    report = pirutka_check(fiber, hpt_alpha(p2))
+    report = pirutka(fiber, hpt_alpha(p2))
     assert report.passed is True
     assert [str(r.divisor) for r in report.rows] == ["x", "y", "z"]
     for r in report.rows:
@@ -105,7 +119,7 @@ def test_pirutka_check_hpt(p2, Fb, xyz):
 def test_pirutka_vacuous_for_empty_class(p2, Fb, xyz):
     x, y, _ = xyz
     fiber = make_affine_form((y, x, x * y, Fb), p2)
-    report = pirutka_check(fiber, EMPTY_CLASS)
+    report = pirutka(fiber, EMPTY_CLASS)
     assert report.passed is True
     for r in report.rows:
         assert not r.alpha_nonzero
@@ -115,7 +129,7 @@ def test_pirutka_trivial_discriminant_form(p2, xyz):
     x, y, _ = xyz
     one = Poly.const(P2_VARS, 1)
     fiber = make_affine_form((one, x, y, x * y), p2)
-    report = pirutka_check(fiber, symbol(x, y))
+    report = pirutka(fiber, symbol(x, y))
     assert report.passed is not None  # decided by the data, not an error
 
 
@@ -123,11 +137,11 @@ def test_arason_examples(p2, Fb, xyz):
     x, y, _ = xyz
     one = Poly.const(P2_VARS, 1)
     fiber = make_affine_form((y, x, x * y, Fb), p2)
-    res = arason_nontriviality(fiber, hpt_alpha(p2))
+    res = arason(fiber, hpt_alpha(p2))
     assert res.passed and str(res.witness) == "x"
-    assert not arason_nontriviality(fiber, EMPTY_CLASS).passed
+    assert not arason(fiber, EMPTY_CLASS).passed
     degenerate = make_affine_form((one, x, y, x * y), p2)
-    res2 = arason_nontriviality(degenerate, symbol(x, y))
+    res2 = arason(degenerate, symbol(x, y))
     assert not res2.passed and not res2.discriminant_nontrivial
     assert "kernel" in res2.note
 
@@ -174,6 +188,69 @@ def test_replay_rejects_tampered_certificate(p2, xyz):
     assert not replay_certificate(tampered)
     tampered2 = dataclasses.replace(cert, input_type=BundleType.of("p2", (0, 2, 2, 4)))
     assert not replay_certificate(tampered2)
+
+
+def test_replay_rejects_tampered_unchecked_fields(p2, xyz):
+    import dataclasses
+    x, _, _ = xyz
+    cert = build_certificate(BundleType.of("p2", (2, 2, 2, 2)))
+    assert not replay_certificate(dataclasses.replace(cert, weak_gcd=x))
+    assert not replay_certificate(
+        dataclasses.replace(cert, conclusion=cert.conclusion[:-1]))
+    row = cert.pirutka.rows[0]
+    rows = (dataclasses.replace(row, beta_residue=CurveClass.trivial()),) + cert.pirutka.rows[1:]
+    assert not replay_certificate(
+        dataclasses.replace(cert, pirutka=dataclasses.replace(cert.pirutka, rows=rows)))
+
+
+# certificate digests of one type per rule, as frozen in perfbench/reference
+PINNED_DIGESTS = [
+    ("p2", "2,2,2,2", "a2676309f101d2b7"),    # hpt-direct
+    ("p2", "1,1,3,3", "70e5565814ed61d0"),    # q1
+    ("p2", "0,2,2,4", "68ec449ee7fda8a3"),    # q2
+    ("p2", "1,1,1,5", "f72267bc94bd90fe"),    # q3
+    ("p1xp1", "0:0,0:2,2:0,4:4", "1c81b4e263da3396"),  # A1
+    ("p1xp1", "1:0,1:2,1:2,3:4", "9a60766fc53a4681"),  # A2
+    ("p1xp1", "0:1,0:1,2:1,4:3", "611e20305e8c7f00"),  # A3
+    ("p1xp1", "1:1,1:1,1:1,3:3", "a3345a7c5cc22a6e"),  # A4
+    ("p1xp1", "0:2,2:0,2:0,4:4", "83c97ebcf1bf6a7f"),  # B1
+    ("p1xp1", "1:2,3:0,3:0,3:4", "a01b57fb0f04980c"),  # B2
+    ("p1xp1", "0:0,2:0,2:2,4:4", "f8308dee50661c56"),  # C1
+    ("p1xp1", "1:0,1:0,1:2,3:4", "548037a5bebd337a"),  # C2
+    ("p1xp1", "0:0,2:0,2:2,2:4", "3c943b136c2490a7"),  # Q1
+    ("p1xp1", "0:1,2:1,2:3,4:1", "957d7f81fe9d62d9"),  # Q2
+]
+
+
+@pytest.mark.parametrize("surface_kind,type_text,digest", PINNED_DIGESTS)
+def test_pinned_certificate_digests(surface_kind, type_text, digest):
+    from quadrica.cli import parse_type_string
+    v = verdict_for(surface_kind, parse_type_string(surface_kind, type_text))
+    assert v.reason.startswith("degeneration-")
+    assert certificate_digest(v.certificate) == digest
+    assert replay_certificate(v.certificate)
+
+
+def test_chain_computes_each_invariant_once(monkeypatch):
+    import quadrica.certify as certify
+    counts = {}
+
+    def counting(name):
+        fn = getattr(certify, name)
+
+        def wrapped(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args)
+        return wrapped
+
+    for name in ("residue_profile", "discriminant", "clifford_invariant"):
+        monkeypatch.setattr(certify, name, counting(name))
+    cert = build_certificate(BundleType.of("p1xp1", ((1, 1), (1, 1), (1, 1), (3, 3))))
+    want = {"residue_profile": 2, "discriminant": 1, "clifford_invariant": 1}
+    assert counts == want
+    counts.clear()
+    assert replay_certificate(cert)
+    assert counts == want
 
 
 def test_certificate_json_roundtrip():

@@ -162,3 +162,57 @@ def test_env_jobs_default(monkeypatch):
     assert _default_jobs() == 3
     monkeypatch.setenv("QUADRICA_JOBS", "junk")
     assert _default_jobs() == 1
+
+
+def test_invariants_linear_entries(capsys):
+    # y^2-1 splits over Q, so every residue divisor is a line
+    code, out, _ = run_cli(capsys, "invariants", "--surface", "p2",
+                           "--entries", "1;y-1;y+1;x")
+    assert code == 0
+    assert "discriminant: {x, y+1, y-1}" in out
+
+
+def test_invariants_conic_split_over_extension_exit_2(capsys):
+    # x^2+y^2 is a pair of lines defined only over Q(i)
+    code, _, err = run_cli(capsys, "invariants", "--surface", "p2",
+                           "--entries", "1;x;x^2+y^2;x*(x^2+y^2)")
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_table_jobs_capped_at_cpu_count(capsys, monkeypatch):
+    import quadrica.cli as cli
+    seen = []
+
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor: records max_workers and maps
+        in this process."""
+
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    for jobs in ("2", "3", "1000000"):
+        code, out, _ = run_cli(capsys, "table", "--surface", "p2", "--bound", "2",
+                               "--jobs", jobs)
+        assert code == 0 and out.count("\n") == 6
+    assert seen == [2, 3, 3]
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    code, _, _ = run_cli(capsys, "table", "--surface", "p2", "--bound", "2",
+                         "--jobs", "8")
+    assert code == 0 and seen == [2, 3, 3]   # one CPU: no pool at all
+
+
+def test_usable_cpus_positive():
+    from quadrica.cli import _usable_cpus
+    assert _usable_cpus() >= 1

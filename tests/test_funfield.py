@@ -11,10 +11,7 @@ from quadrica.funfield import (
     coordinate_divisors,
     dehomogenize,
     hensel_report,
-    hensel_square_test,
     homogenize,
-    is_square_on_curve,
-    multiply_classes,
     parametrize,
     prime_divisor,
     restrict_unit,
@@ -30,6 +27,11 @@ T = ("t",)
 
 def tpoly(text):
     return parse_poly(text, T)
+
+
+def square_on_curve(f, c):
+    """f, a unit along c, restricts to a square on the curve."""
+    return CurveClass.from_ratfn(restrict_unit(f, c)).is_trivial
 
 
 # ------------------------------------------------------------ square classes
@@ -52,9 +54,9 @@ def test_square_class_of_fraction(xyz):
 def test_multiply_classes(F, xyz):
     x, y, _ = xyz
     cx, cy, cF = square_class(x), square_class(y), square_class(F)
-    assert multiply_classes(cx, cy).support == frozenset({x, y})
-    assert multiply_classes(cF, cF).is_trivial
-    both = multiply_classes(square_class(x * y), multiply_classes(cy, cF))
+    assert (cx * cy).support == frozenset({x, y})
+    assert (cF * cF).is_trivial
+    both = square_class(x * y) * (cy * cF)
     assert both.support == frozenset({x, F})
 
 
@@ -71,7 +73,7 @@ def test_square_class_multiplicative_randomized(F, xyz):
 
     for _ in range(200):
         f, g = rand(), rand()
-        assert square_class(f * g) == multiply_classes(square_class(f), square_class(g))
+        assert square_class(f * g) == square_class(f) * square_class(g)
         assert square_class(f * f).is_trivial
 
 
@@ -192,20 +194,20 @@ def test_is_square_on_curve_examples(p2, F, Fb, xyz):
     x, y, z = xyz
     dx = prime_divisor(p2, x)
     dz = prime_divisor(p2, z)
-    assert is_square_on_curve(RatFn(Fb), dx)            # (t-1)^2
-    assert not is_square_on_curve(RatFn(y), dx)         # t
+    assert square_on_curve(RatFn(Fb), dx)            # (t-1)^2
+    assert not square_on_curve(RatFn(y), dx)         # t
     # F at z = 0 is (x - y)^2; dividing by x^2 gives a unit along the
     # boundary line whose restriction is ((t-1)/t)^2
     assert F.substitute({"z": 0}) == parse_poly("x^2-2*x*y+y^2", P2_VARS)
-    assert is_square_on_curve(RatFn(F.substitute({"z": 0}), x ** 2), dz)
+    assert square_on_curve(RatFn(F.substitute({"z": 0}), x ** 2), dz)
 
 
 def test_hensel_examples(p2, Fb, xyz):
     x, _, z = xyz
     dx = prime_divisor(p2, x)
     dz = prime_divisor(p2, z)
-    assert hensel_square_test(RatFn(Fb), dx)
-    assert not hensel_square_test(RatFn(x), dx)     # odd valuation
+    assert hensel_report(RatFn(Fb), dx).passed
+    assert not hensel_report(RatFn(x), dx).passed   # odd valuation
     rep = hensel_report(RatFn(Fb), dz)
     assert rep.valuation == -2 and rep.passed
     # the unit part restricts to the (X - Y)^2 pattern over the line at
@@ -222,7 +224,7 @@ def test_hensel_square_stability(p2, F, Fb, xyz):
         u = units[rng.randrange(len(units))]
         c = divisors[rng.randrange(len(divisors))]
         d = RatFn(Fb)
-        assert hensel_square_test(d * RatFn(u * u), c) == hensel_square_test(d, c)
+        assert hensel_report(d * RatFn(u * u), c).passed == hensel_report(d, c).passed
 
 
 def test_square_on_curve_of_squares_randomized(p2, Fb, xyz):
@@ -234,7 +236,7 @@ def test_square_on_curve_of_squares_randomized(p2, Fb, xyz):
         f = Poly.const(P2_VARS, 1)
         for q in pool:
             f = f * q ** rng.randint(0, 2)
-        assert is_square_on_curve(RatFn(f * f), dx)
+        assert square_on_curve(RatFn(f * f), dx)
 
 
 def test_curve_class_algebra():

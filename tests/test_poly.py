@@ -221,8 +221,33 @@ def test_factor_degenerate_conic_split():
     s = parse_poly("x^2-y^2", P2_VARS)
     f = factor(s)
     assert {str(q) for q, _ in f.factors} == {"x-y", "x+y"}
-    # conjugate-line conic stays irreducible over Q
-    assert is_irreducible(parse_poly("x^2+y^2", P2_VARS))
+    # conjugate-line conic: a pair of lines over C that no rational split
+    # exhibits, so it is outside the factorization class
+    with pytest.raises(FactorError):
+        is_irreducible(parse_poly("x^2+y^2", P2_VARS))
+
+
+def test_factor_quadratic_in_one_variable_splits():
+    # a quadratic in one variable has two roots over C: it never counts as
+    # a smooth conic
+    for text, roots in (("y^2-1", {"y-1", "y+1"}), ("y^2-3*y+2", {"y-1", "y-2"}),
+                        ("x^2-4", {"x-2", "x+2"})):
+        f = factor(parse_poly(text, P2_VARS))
+        assert {str(q) for q, _ in f.factors} == roots
+    with pytest.raises(FactorError):
+        factor(parse_poly("y^2+1", P2_VARS))
+
+
+def test_factor_rejects_split_over_an_extension(x4):
+    x0, x1, y0, y1 = x4
+    with pytest.raises(FactorError):
+        factor(parse_poly("x^2+y^2", P2_VARS))
+    with pytest.raises(FactorError):
+        factor(parse_poly("x^2-2*y^2", P2_VARS))
+    # content-free (2,2) with discriminant 8*x1^2*y0^2*y1^2: two (1,1) lines
+    # over Q(sqrt 2)
+    with pytest.raises(FactorError):
+        factor(x0 ** 2 * y0 ** 2 - x1 ** 2 * y1 ** 2 * 2)
 
 
 def test_factor_multilinear_split():
