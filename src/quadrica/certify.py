@@ -38,6 +38,7 @@ from .poly import Poly, RatFn, format_poly
 from .quadform import (
     BundleType,
     DiagForm,
+    QuadformError,
     SimilarityWitness,
     canonical_quadric,
     clifford_invariant,
@@ -316,56 +317,49 @@ def cor53_rule(t: BundleType) -> str | None:
     return None
 
 
-def _cor53_bases(s: SurfaceModel, rule: str) -> list[tuple[Poly, tuple[int, int]]]:
-    h = canonical_quadric(s)
-    x1 = Poly.var(s.variables, "x1")
-    y1 = Poly.var(s.variables, "y1")
-    one = Poly.const(s.variables, 1)
-    if rule == "Q1":
-        # <1, x1, x1*y1, y1*h>
-        return [(one, (0, 0)), (x1, (1, 0)), (x1 * y1, (1, 1)), (y1 * h, (2, 3))]
-    # <y1, x1, x1*y1, h>
-    return [(y1, (0, 1)), (x1, (1, 0)), (x1 * y1, (1, 1)), (h, (2, 2))]
+# Rule -> the starting entries as (x1 exponent, y1 exponent, power of h);
+# an entry's bidegree is (x1 + 2 * h, y1 + 2 * h).
+_COR53_BASES = {
+    "Q1": ((0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 1)),   # <1, x1, x1*y1, y1*h>
+    "Q2": ((0, 1, 0), (1, 0, 0), (1, 1, 0), (0, 0, 1)),   # <y1, x1, x1*y1, h>
+}
 
 
 def _cor53_form(t: BundleType, rule: str) -> DiagForm:
     """Pad a starting form of the requested similarity class up to the
     target type: boundary powers are free, chart powers must stay even.
     Among the valid assignments the one with the least total boundary
-    exponent wins (ties broken by the printed form)."""
+    exponent wins (ties broken by the printed form).
+
+    Every padding has its slot's bidegree by construction, and h is
+    divisible by no variable and sits in one entry, so the entries are
+    coprime iff no variable divides all four monomial parts: candidates
+    are screened on exponents and only a possible winner is built."""
     from itertools import permutations, product
 
     s = surface("p1xp1")
-    bases = _cor53_bases(s, rule)
+    h = canonical_quadric(s)
+    bases = _COR53_BASES[rule]
     slots = t.data  # lex-sorted pairs
     best: tuple[int, str, DiagForm] | None = None
     for assign in permutations(range(4)):
-        if not all(slots[i][0] >= bases[assign[i]][1][0]
-                   and slots[i][1] >= bases[assign[i]][1][1] for i in range(4)):
+        chosen = [bases[j] for j in assign]
+        dxy = [(slots[i][0] - bx - 2 * bh, slots[i][1] - by - 2 * bh)
+               for i, (bx, by, bh) in enumerate(chosen)]
+        if any(dx < 0 or dy < 0 for dx, dy in dxy):
             continue
-        pad_options = []
-        for i in range(4):
-            base_poly, (p, q) = bases[assign[i]]
-            dx = slots[i][0] - p
-            dy = slots[i][1] - q
-            xopts = sorted({dx % 2, dx})      # x0-exponent; rest goes to x1^even
-            yopts = sorted({dy % 2, dy})
-            pad_options.append([(a, (dx - a) // 2, b, (dy - b) // 2)
-                                for a in xopts for b in yopts])
+        # exponents of (x0, x1, y0, y1): x0^a, y0^b, the rest on x1, y1 in even steps
+        pad_options = [[(a, bx + dx - a, b, by + dy - b)
+                        for a in sorted({dx % 2, dx}) for b in sorted({dy % 2, dy})]
+                       for (bx, by, _), (dx, dy) in zip(chosen, dxy)]
         for pads in product(*pad_options):
-            entries = []
-            boundary_total = 0
-            for i in range(4):
-                base_poly, _ = bases[assign[i]]
-                a, bx, b, by = pads[i]
-                boundary_total += a + b
-                entries.append(
-                    base_poly * _mono(s, x0=a, x1=2 * bx, y0=b, y1=2 * by))
-            form = make_diag_form(tuple(entries), s)
-            if type_of(form).data != t.data:
+            if any(all(p[v] for p in pads) for v in range(4)):
                 continue
-            if not is_weak_bundle(form):
+            boundary_total = sum(p[0] + p[2] for p in pads)
+            if best is not None and boundary_total > best[0]:
                 continue
+            form = make_diag_form(tuple(Poly(s.variables, {p: 1}) * h ** bh
+                                        for p, (_, _, bh) in zip(pads, chosen)), s)
             key = (boundary_total, str(form), form)
             if best is None or (key[0], key[1]) < (best[0], best[1]):
                 best = key
@@ -509,13 +503,23 @@ def _certify(t: BundleType, rule: str, form: DiagForm,
 
 
 def replay_certificate(cert: Certificate) -> bool:
-    """Rerun the build chain on the stored degeneration with the stored
-    similarity witness; the certificate holds iff every link passes and
-    the result equals the stored certificate field by field."""
+    """Rebuild the degeneration from the stored type and rule, then rerun
+    the build chain on it with the stored similarity witness; the
+    certificate holds iff the constructor returns the stored degeneration
+    (and, on P^2, its own rule), every link passes, and the result equals
+    the stored certificate field by field."""
+    t = cert.input_type
     try:
-        fresh = _certify(cert.input_type, cert.rule, cert.degeneration,
-                         lambda fiber: cert.similarity)
-    except CertifyError:
+        if t.surface_kind == "p2":
+            form, rule = construct_degeneration_p2(t)
+            if rule != cert.rule:
+                return False
+        else:
+            form = construct_degeneration_p1xp1(t, cert.rule)
+        if form != cert.degeneration:
+            return False
+        fresh = _certify(t, cert.rule, form, lambda fiber: cert.similarity)
+    except (CertifyError, QuadformError):
         return False
     return fresh == cert
 

@@ -11,8 +11,8 @@ fiber is, up to similarity, the Hassett-Pirutka-Tschinkel quadric
 The normalizer searches the finite set of scalings given by subset
 products of the entries (any similarity between forms with entries that
 are monomials times the canonical quadric lies in that set modulo
-squares), absorbs squares, and matches the target pattern over all 24
-orderings.  Every hit is returned with a replayable witness.
+squares) and matches the target pattern over all 24 orderings, all on
+exponent vectors mod 2.  Every hit is returned with a replayable witness.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
+from operator import add
 
 from .brauer import BrauerClass, add_classes, symbol
 from .funfield import (
@@ -36,11 +37,8 @@ from .funfield import (
 from .poly import (
     Poly,
     RatFn,
-    exact_div,
-    factor,
-    normalized_with_unit,
+    divide_out,
     parse_poly,
-    poly_sqrt,
     square_class_part,
 )
 
@@ -324,51 +322,54 @@ class SimilarityWitness:
     permutation: tuple[int, int, int, int]  # source slot i -> target slot
 
 
-def _entry_in_monomial_quadric_class(s: SurfaceModel, e: Poly) -> bool:
-    fq = chart_quadric(s)
-    for q, _ in factor(e).factors:
-        if q == fq:
-            continue
-        if q.total_degree() != 1 or len(q._terms) != 1:
-            return False
-    return True
+def _monomial_quadric_parts(s: SurfaceModel, e: Poly) -> tuple[Fraction, tuple[int, ...]] | None:
+    """(c, exponents + (k,)) for e = c * monomial * F^k with F the chart
+    quadric; None when e has any other factor."""
+    k, rest = divide_out(e, chart_quadric(s))
+    if len(rest._terms) != 1:
+        return None
+    (exps, c), = rest._terms.items()
+    return c, exps + (k,)
 
 
 def normalize_to_hpt(f: DiagForm) -> SimilarityWitness | None:
     """Search for a similarity taking the affine form onto the canonical
-    quadric fiber <y', x', x'y', F(x', y', 1)>; None when no witness exists."""
+    quadric fiber <y', x', x'y', F(x', y', 1)>; None when no witness exists.
+
+    Every entry is c * monomial * F^k, so its class modulo squares is its
+    exponent vector mod 2 and its square factor is read off the halved
+    exponents."""
     if not f.affine:
         raise QuadformError("the normalizer takes the affine fiber")
     s = f.surface
+    parts = []
     for e in f.entries:
-        if not _entry_in_monomial_quadric_class(s, e):
+        part = _monomial_quadric_parts(s, e)
+        if part is None:
             raise QuadformError(
                 f"entry {e} is outside the monomial x quadric class")
-    target = hpt_target(s)
-    one = Poly.const(s.variables, 1)
+        parts.append(part)
+    goal = [tuple(a % 2 for a in _monomial_quadric_parts(s, q)[1]) for q in hpt_target(s)]
     for size in range(5):
         for subset in combinations(range(4), size):
-            lam = one
+            lam_c, lam_exps = Fraction(1), (0,) * len(parts[0][1])
             for i in subset:
-                lam = lam * f.entries[i]
-            scaled = [lam * e for e in f.entries]
-            reps = [square_class_part(p) for p in scaled]
+                lam_c *= parts[i][0]
+                lam_exps = tuple(map(add, lam_exps, parts[i][1]))
+            scaled = [(lam_c * c, tuple(map(add, lam_exps, exps))) for c, exps in parts]
+            reps = [tuple(a % 2 for a in exps) for _, exps in scaled]
             for perm in permutations(range(4)):
-                if all(reps[i] == target[perm[i]] for i in range(4)):
-                    squares = []
-                    units = []
-                    for i in range(4):
-                        q = exact_div(scaled[i], reps[i])
-                        assert q is not None
-                        unit, prim = normalized_with_unit(q)
-                        root = poly_sqrt(prim)
-                        assert root is not None
-                        squares.append(RatFn(root))
-                        units.append(unit)
+                if all(reps[i] == goal[perm[i]] for i in range(4)):
+                    lam = Poly.const(s.variables, 1)
+                    for i in subset:
+                        lam = lam * f.entries[i]
                     return SimilarityWitness(
                         scale=RatFn(lam),
-                        square_factors=tuple(squares),
-                        units=tuple(units),
+                        square_factors=tuple(
+                            RatFn(Poly(s.variables, {tuple(a // 2 for a in exps[:-1]): 1})
+                                  * chart_quadric(s) ** (exps[-1] // 2))
+                            for _, exps in scaled),
+                        units=tuple(c for c, _ in scaled),
                         permutation=perm,
                     )
     return None

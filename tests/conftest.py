@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from quadrica.funfield import surface
@@ -44,3 +46,27 @@ def hpoly():
 @pytest.fixture(scope="session")
 def x4():
     return tuple(Poly.var(P1XP1_VARS, v) for v in P1XP1_VARS)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(module, *names) wraps each named function of the module
+    in every quadrica namespace that binds it and returns the live dict of
+    call counts."""
+    counts = {}
+
+    def install(module, *names):
+        spaces = [m for k, m in list(sys.modules.items())
+                  if k == "quadrica" or k.startswith("quadrica.")]
+        for name in names:
+            fn = getattr(module, name)
+            counts[name] = 0
+
+            def wrapped(*args, _fn=fn, _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            for space in spaces:
+                if getattr(space, name, None) is fn:
+                    monkeypatch.setattr(space, name, wrapped)
+        return counts
+    return install

@@ -21,6 +21,7 @@ from quadrica.certify import (
     cond_cor53_q2,
     construct_degeneration_p1xp1,
     construct_degeneration_p2,
+    cor53_rule,
     enumerate_types_p1xp1,
     enumerate_types_p2,
     pirutka_check,
@@ -30,7 +31,7 @@ from quadrica.certify import (
     verdict_p1xp1,
     verdict_p2,
 )
-from quadrica.funfield import CurveClass
+from quadrica.funfield import CurveClass, surface
 from quadrica.poly import Poly
 from quadrica.quadform import (
     BundleType,
@@ -42,6 +43,7 @@ from quadrica.quadform import (
     hpt_alpha,
     is_weak_bundle,
     make_affine_form,
+    make_diag_form,
     normalize_to_hpt,
     type_of,
 )
@@ -188,6 +190,8 @@ def test_replay_rejects_tampered_certificate(p2, xyz):
     assert not replay_certificate(tampered)
     tampered2 = dataclasses.replace(cert, input_type=BundleType.of("p2", (0, 2, 2, 4)))
     assert not replay_certificate(tampered2)
+    tampered3 = dataclasses.replace(cert, input_type=BundleType.of("p2", (1, 2, 2, 2)))
+    assert not replay_certificate(tampered3)
 
 
 def test_replay_rejects_tampered_unchecked_fields(p2, xyz):
@@ -201,6 +205,17 @@ def test_replay_rejects_tampered_unchecked_fields(p2, xyz):
     rows = (dataclasses.replace(row, beta_residue=CurveClass.trivial()),) + cert.pirutka.rows[1:]
     assert not replay_certificate(
         dataclasses.replace(cert, pirutka=dataclasses.replace(cert.pirutka, rows=rows)))
+    # a relabelled rule, with the conclusion rewritten to match
+    assert not replay_certificate(relabelled(cert, "q1"))
+    a4 = build_certificate(BundleType.of("p1xp1", ((1, 1), (1, 1), (1, 1), (3, 3))))
+    assert replay_certificate(a4)
+    assert not replay_certificate(relabelled(a4, "A1"))
+
+
+def relabelled(cert, rule):
+    import dataclasses
+    conclusion = (f"degeneration:{rule}",) + cert.conclusion[1:]
+    return dataclasses.replace(cert, rule=rule, conclusion=conclusion)
 
 
 # certificate digests of one type per rule, as frozen in perfbench/reference
@@ -337,6 +352,74 @@ def test_cor53_certificates():
     v2 = verdict_p1xp1(((0, 2), (2, 2), (2, 4), (4, 2)))
     assert v2.outcome == NOT_STABLY_RATIONAL and v2.certificate.rule == "Q2"
     assert replay_certificate(v2.certificate)
+
+
+def reference_cor53_form(t, rule):
+    """The unscreened padding search the constructor replaced: every
+    candidate form is built and tested with type_of and is_weak_bundle."""
+    from itertools import permutations, product
+
+    s = surface("p1xp1")
+    h = canonical_quadric(s)
+    mono = lambda **exps: Poly.monomial(s.variables, exps)  # noqa: E731
+    if rule == "Q1":
+        bases = [(mono(), (0, 0)), (mono(x1=1), (1, 0)), (mono(x1=1, y1=1), (1, 1)),
+                 (mono(y1=1) * h, (2, 3))]
+    else:
+        bases = [(mono(y1=1), (0, 1)), (mono(x1=1), (1, 0)), (mono(x1=1, y1=1), (1, 1)),
+                 (h, (2, 2))]
+    slots = t.data
+    best = None
+    for assign in permutations(range(4)):
+        if not all(slots[i][0] >= bases[assign[i]][1][0]
+                   and slots[i][1] >= bases[assign[i]][1][1] for i in range(4)):
+            continue
+        pad_options = []
+        for i in range(4):
+            _, (p, q) = bases[assign[i]]
+            dx, dy = slots[i][0] - p, slots[i][1] - q
+            pad_options.append([(a, (dx - a) // 2, b, (dy - b) // 2)
+                                for a in sorted({dx % 2, dx}) for b in sorted({dy % 2, dy})])
+        for pads in product(*pad_options):
+            entries = [bases[assign[i]][0] * mono(x0=a, x1=2 * bx, y0=b, y1=2 * by)
+                       for i, (a, bx, b, by) in enumerate(pads)]
+            form = make_diag_form(tuple(entries), s)
+            if type_of(form).data != t.data or not is_weak_bundle(form):
+                continue
+            key = (sum(a + b for a, _, b, _ in pads), str(form), form)
+            if best is None or key[:2] < best[:2]:
+                best = key
+    if best is None:
+        raise ConstructionError(f"no degeneration of type {t} in the {rule} class")
+    return best[2]
+
+
+def test_cor53_matches_reference_search():
+    seen = 0
+    for data in enumerate_types_p1xp1(4):
+        t = BundleType.of("p1xp1", data)
+        d, e = t.ds(), t.es()
+        rule = cor53_rule(t)
+        if rule is None or (d[3] >= 3 and e[3] >= 3):
+            continue
+        seen += 1
+        try:
+            want = reference_cor53_form(t, rule)
+        except ConstructionError:
+            with pytest.raises(ConstructionError):
+                construct_degeneration_p1xp1(t, rule)
+            continue
+        assert construct_degeneration_p1xp1(t, rule) == want, t
+    assert seen == 111
+
+
+def test_cor53_search_builds_no_rejected_form(count_calls):
+    import quadrica.quadform as quadform
+    t = BundleType.of("p1xp1", ((0, 1), (2, 1), (2, 3), (4, 1)))
+    counts = count_calls(quadform, "type_of", "is_weak_bundle", "weak_gcd")
+    form = construct_degeneration_p1xp1(t, "Q2")
+    assert counts == {"type_of": 0, "is_weak_bundle": 0, "weak_gcd": 0}
+    assert type_of(form).data == t.data and is_weak_bundle(form)
 
 
 def test_cor53_unconstructible_is_unknown():

@@ -216,3 +216,22 @@ def test_table_jobs_capped_at_cpu_count(capsys, monkeypatch):
 def test_usable_cpus_positive():
     from quadrica.cli import _usable_cpus
     assert _usable_cpus() >= 1
+
+
+@pytest.mark.parametrize("surface_kind,name,bound", [
+    ("p2", "p2_b16.tsv", 8),
+    ("p1xp1", "p1xp1_b5.tsv", 3),
+])
+def test_table_rows_match_frozen_reference(surface_kind, name, bound):
+    # the benchmark's frozen `table` output; a drift in any type, outcome,
+    # reason or digest shows here, not only in the benchmark
+    from pathlib import Path
+
+    from quadrica.certify import enumerate_types_p1xp1, enumerate_types_p2
+    from quadrica.cli import _table_row
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / name
+    want = {row.split("\t")[0]: row for row in path.read_text().splitlines()}
+    types = enumerate_types_p2(bound) if surface_kind == "p2" else enumerate_types_p1xp1(bound)
+    for data in types:
+        key, row = _table_row((surface_kind, data, "text"))
+        assert row == want[key]

@@ -2,6 +2,8 @@
 similarity normalizer."""
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +35,8 @@ from quadrica.quadform import (
 )
 
 from conftest import P1XP1_VARS, P2_VARS
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
 def one():
@@ -211,21 +215,98 @@ def test_normalize_to_hpt_rejects_wrong_pattern(p2, Fb, xyz):
 
 def test_normalize_to_hpt_out_of_class(p2, Fb, xyz):
     x, y, _ = xyz
-    with pytest.raises(QuadformError, match="class"):
-        normalize_to_hpt(make_affine_form((y + 1, x, x * y, Fb), p2))
+    for bad in (y + 1, x ** 2 + y ** 2):
+        with pytest.raises(QuadformError, match="class"):
+            normalize_to_hpt(make_affine_form((bad, x, x * y, Fb), p2))
 
 
-def test_normalize_move_closure(p2, Fb, xyz):
+def move_closure_forms(p2, Fb, xyz):
     rng = random.Random(77)
     x, y, _ = xyz
     fib = make_affine_form((y, x, x * y, Fb), p2)
     moves = [Scale(x), Scale(y), AbsorbSquares(), Reorder((1, 0, 3, 2)),
-             Reorder((2, 3, 0, 1)), MultiplyEntry(0, x ** 2), MultiplyEntry(3, y ** 2)]
+             Reorder((2, 3, 0, 1)), MultiplyEntry(0, x ** 2), MultiplyEntry(3, y ** 2),
+             Scale(3 * x), MultiplyEntry(1, 5 * x ** 2)]
     form = fib
     for _ in range(25):
         form = apply_move(form, moves[rng.randrange(len(moves))])
+        yield form
+
+
+def test_normalize_move_closure(p2, Fb, xyz):
+    units = set()
+    for form in move_closure_forms(p2, Fb, xyz):
         w = normalize_to_hpt(form)
         assert w is not None and verify_witness(form, w)
+        units.update(w.units)
+    assert units - {1}
+
+
+def reference_normalize_to_hpt(f):
+    """The gcd-based search the normalizer replaced: square-class parts of
+    the scaled entries, square factors by poly_sqrt (class check left out;
+    it is only run on in-class fibers)."""
+    from itertools import combinations, permutations
+
+    from quadrica.poly import (RatFn, exact_div, normalized_with_unit, poly_sqrt,
+                               square_class_part)
+    from quadrica.quadform import SimilarityWitness
+    target = hpt_target(f.surface)
+    for size in range(5):
+        for subset in combinations(range(4), size):
+            lam = Poly.const(f.surface.variables, 1)
+            for i in subset:
+                lam = lam * f.entries[i]
+            scaled = [lam * e for e in f.entries]
+            reps = [square_class_part(p) for p in scaled]
+            for perm in permutations(range(4)):
+                if all(reps[i] == target[perm[i]] for i in range(4)):
+                    squares, units = [], []
+                    for i in range(4):
+                        unit, prim = normalized_with_unit(exact_div(scaled[i], reps[i]))
+                        squares.append(RatFn(poly_sqrt(prim)))
+                        units.append(unit)
+                    return SimilarityWitness(RatFn(lam), tuple(squares), tuple(units), perm)
+    return None
+
+
+def certified_fibers(surface_kind, bound):
+    """Distinct generic fibers of the NotStablyRational rows of the frozen
+    benchmark table with every coordinate <= bound."""
+    from quadrica.certify import construct_degeneration_p1xp1, construct_degeneration_p2
+    from quadrica.cli import parse_type_string
+    name = "p2_b16.tsv" if surface_kind == "p2" else "p1xp1_b5.tsv"
+    fibers = {}
+    for line in (REFERENCE / name).read_text().splitlines():
+        key, outcome, reason, _ = line.split("\t")
+        t = BundleType.of(surface_kind, parse_type_string(surface_kind, key))
+        if outcome != "NotStablyRational" or max(map(int, re.split("[,:]", key))) > bound:
+            continue
+        if surface_kind == "p2":
+            form, _ = construct_degeneration_p2(t)
+        else:
+            form = construct_degeneration_p1xp1(t, reason.removeprefix("degeneration-"))
+        fibers[generic_fiber(form)] = None
+    return list(fibers)
+
+
+def test_normalize_matches_reference_search(p2, Fb, xyz):
+    p2_fibers = certified_fibers("p2", 8)
+    assert len(p2_fibers) == 9
+    forms = p2_fibers + certified_fibers("p1xp1", 4) + list(move_closure_forms(p2, Fb, xyz))
+    for form in forms:
+        w = normalize_to_hpt(form)
+        assert w is not None and w == reference_normalize_to_hpt(form), form
+
+
+def test_normalizer_runs_no_gcd_search(p2, Fb, xyz, count_calls):
+    import quadrica.poly as poly
+    x, y, _ = xyz
+    form = make_affine_form((2 * x ** 3 * y, x ** 2, x ** 2 * y, 3 * x * y ** 2 * Fb ** 3), p2)
+    counts = count_calls(poly, "square_class_part", "poly_sqrt", "factor")
+    w = normalize_to_hpt(form)
+    assert w is not None and verify_witness(form, w)
+    assert counts == {"square_class_part": 0, "poly_sqrt": 0, "factor": 0}
 
 
 def test_type_shift_under_entry_twist(p1xp1, hpoly, x4):
