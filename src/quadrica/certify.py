@@ -29,7 +29,6 @@ from .funfield import (
     HenselWitness,
     PrimeDivisor,
     SquareClass,
-    SurfaceModel,
     UnsupportedCurveError,
     hensel_report,
     surface,
@@ -184,35 +183,76 @@ class Verdict:
     notes: tuple[str, ...] = ()
 
 
-# ----------------------------------------------------- degenerations over P^2
+# ------------------------------------------------------------ degenerations
+
+
+# Surface -> rule -> the four entries, each one monomial per grading block
+# in the slot's degree k of that block: "v" is v^k, "v*w" is v^(k-1)*w
+# (the first variable takes the degree the others leave), "" is 1.  The
+# fourth entry is read two degrees lower in each block and multiplied by
+# the canonical quadric.
+_RULES = {
+    "p2": {
+        "hpt-direct": (("y*z",), ("x*z",), ("x*y",), ("z",)),
+        "q1": (("z",), ("x",), ("z*x*y",), ("z*y",)),
+        "q2": (("z",), ("z*x",), ("x*y",), ("z*y",)),
+        "q3": (("z",), ("x",), ("z*y",), ("z*x*y",)),
+    },
+    "p1xp1": {
+        "A1": (("x1", "y1"), ("x0", "y0*y1"), ("x0*x1", "y0"), ("x0*x1", "y0*y1")),
+        "A2": (("x0", "y1"), ("x0", "y0*y1"), ("x1", "y0"), ("x0*x1", "y0*y1")),
+        "A3": (("x1", "y0"), ("x0", "y1"), ("x0*x1", "y0"), ("x0*x1", "y0*y1")),
+        "A4": (("x0", "y0"), ("x0", "y1"), ("x1", "y0"), ("x0*x1", "y0*y1")),
+        "B1": (("x1", "y0*y1"), ("x0", ""), ("x0*x1", "y0"), ("x0*x1", "y0*y1")),
+        "B2": (("x0", "y0*y1"), ("x0", ""), ("x1", "y0"), ("x0*x1", "y0*y1")),
+        "C1": (("x1", ""), ("x0*x1", ""), ("x0", "y0*y1"), ("x0*x1", "y0*y1")),
+        "C2": (("x0", ""), ("x1", ""), ("x0", "y0*y1"), ("x0*x1", "y0*y1")),
+    },
+}
+
+
+def _block_exponents(mono: str, k: int) -> dict[str, int]:
+    if not mono:
+        return {}
+    first, *rest = mono.split("*")
+    return {first: k - len(rest), **{v: 1 for v in rest}}
+
+
+def _rule_form(t: BundleType, rule: str) -> DiagForm:
+    """The degeneration of type t that the rule's entry table gives; every
+    exponent is checked non-negative."""
+    s = surface(t.surface_kind)
+    if rule not in _RULES[s.kind]:
+        raise ConstructionError(f"unknown rule {rule!r}")
+    entries = []
+    for i, (monos, degs) in enumerate(zip(_RULES[s.kind][rule], t.degrees())):
+        lower = 2 if i == 3 else 0
+        exps: dict[str, int] = {}
+        for mono, k in zip(monos, degs):
+            exps.update(_block_exponents(mono, k - lower))
+        for name, k in exps.items():
+            if k < 0:
+                raise ConstructionError(f"negative exponent {name}^{k}")
+        entries.append(Poly.monomial(s.variables, exps))
+    entries[3] = entries[3] * canonical_quadric(s)
+    return make_diag_form(entries, s)
 
 
 def construct_degeneration_p2(t: BundleType) -> tuple[DiagForm, str]:
     """The explicit weak-bundle degeneration for a certifiable type."""
-    s = surface("p2")
     t.validate()
     d0, d1, d2, d3 = t.ds()
-    F = canonical_quadric(s)
-    x, y, z = (Poly.var(s.variables, v) for v in s.variables)
     if (d0, d1, d2, d3) == (2, 2, 2, 2):
-        return make_diag_form((y * z, x * z, x * y, F), s), "hpt-direct"
-    if sum(t.ds()) < 8 or d1 < 1 or d3 < 3:
+        rule = "hpt-direct"
+    elif sum(t.ds()) < 8 or d1 < 1 or d3 < 3:
         raise ConstructionError(f"type {t} is not in a certifiable branch")
-    if d0 % 2 == 0:
-        entries = (z ** d0, x * z ** (d1 - 1), x ** (d2 - 1) * y,
-                   y * z ** (d3 - 3) * F)
+    elif d0 % 2 == 0:
         rule = "q2"
     elif d2 >= 3:
-        entries = (z ** d0, x ** d1, x * y * z ** (d2 - 2),
-                   y * z ** (d3 - 3) * F)
         rule = "q1"
     else:
-        # d0 odd with d2 = 1 forces d0 = d1 = d2 = 1 and d3 >= 5
-        assert d2 == 1 and d3 - 4 >= 1, f"exponent safety violated for {t}"
-        entries = (z ** d0, x ** d1, y * z ** (d2 - 1),
-                   x * y * z ** (d3 - 4) * F)
         rule = "q3"
-    return make_diag_form(entries, s), rule
+    return _rule_form(t, rule), rule
 
 
 def verdict_p2(data) -> Verdict:
@@ -249,50 +289,12 @@ def select_rule_p1xp1(t: BundleType) -> str:
     return "C1" if d[0] % 2 == 0 else "C2"
 
 
-# Rule -> the first three entries as (x-block, y-block) monomials in the
-# slot's degree k of that block: "v" is v^k, "v*w" is v^(k-1)*w, "" is 1.
-# The fourth entry is the tail every rule shares.
-_P1XP1_RULES = {
-    "A1": (("x1", "y1"), ("x0", "y0*y1"), ("x0*x1", "y0")),
-    "A2": (("x0", "y1"), ("x0", "y0*y1"), ("x1", "y0")),
-    "A3": (("x1", "y0"), ("x0", "y1"), ("x0*x1", "y0")),
-    "A4": (("x0", "y0"), ("x0", "y1"), ("x1", "y0")),
-    "B1": (("x1", "y0*y1"), ("x0", ""), ("x0*x1", "y0")),
-    "B2": (("x0", "y0*y1"), ("x0", ""), ("x1", "y0")),
-    "C1": (("x1", ""), ("x0*x1", ""), ("x0", "y0*y1")),
-    "C2": (("x0", ""), ("x1", ""), ("x0", "y0*y1")),
-}
-
-
-def _block_exponents(mono: str, k: int) -> dict[str, int]:
-    if not mono:
-        return {}
-    first, *rest = mono.split("*")
-    return {first: k - len(rest), **{v: 1 for v in rest}}
-
-
-def _mono(s: SurfaceModel, **exps: int) -> Poly:
-    for name, k in exps.items():
-        if k < 0:
-            raise ConstructionError(f"negative exponent {name}^{k}")
-    return Poly.monomial(s.variables, exps)
-
-
 def construct_degeneration_p1xp1(t: BundleType, rule: str) -> DiagForm:
-    """The explicit degeneration for the selected rule; every exponent is
-    checked non-negative."""
-    s = surface("p1xp1")
+    """The explicit degeneration for the selected rule."""
     t.validate()
     if rule in ("Q1", "Q2"):
         return _cor53_form(t, rule)
-    d = t.ds()
-    e = t.es()
-    tail = _mono(s, x0=d[3] - 3, y0=e[3] - 3, x1=1, y1=1) * canonical_quadric(s)
-    if rule not in _P1XP1_RULES:
-        raise ConstructionError(f"unknown rule {rule!r}")
-    entries = tuple(_mono(s, **_block_exponents(xm, d[i]), **_block_exponents(ym, e[i]))
-                    for i, (xm, ym) in enumerate(_P1XP1_RULES[rule])) + (tail,)
-    form = make_diag_form(entries, s)
+    form = _rule_form(t, rule)
     if not is_weak_bundle(form):
         raise ConstructionError(f"rule {rule} produced non-coprime entries for {t}")
     return form

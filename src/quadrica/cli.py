@@ -206,16 +206,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _default_jobs() -> int:
-    env = os.environ.get("QUADRICA_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="quadrica",
@@ -244,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab = sub.add_parser("table", help="verdict sweep over all types up to a bound")
     p_tab.add_argument("--surface", choices=("p2", "p1xp1"), required=True)
     p_tab.add_argument("--bound", type=int, required=True)
-    p_tab.add_argument("--jobs", type=int, default=_default_jobs(),
+    p_tab.add_argument("--jobs", type=int, default=1,
                        help="worker processes, capped at the usable CPU count")
     p_tab.add_argument("--output", choices=("text", "json"), default="text")
     p_tab.set_defaults(func=cmd_table)

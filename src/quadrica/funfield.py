@@ -25,7 +25,6 @@ from .poly import (
     PolyError,
     RatFn,
     as_ratfn,
-    degree_profile,
     det3,
     divide_out,
     exact_div,
@@ -47,17 +46,25 @@ class UnsupportedCurveError(Exception):
 
 @dataclass(frozen=True)
 class SurfaceModel:
-    kind: str                       # "p2" | "p1xp1"
-    variables: tuple[str, ...]      # projective coordinates
-    chart_vars: tuple[str, ...]     # coordinates of the affine chart
-    boundary_vars: tuple[str, ...]  # set to 1 on the chart
+    kind: str                            # "p2" | "p1xp1"
+    variables: tuple[str, ...]           # projective coordinates
+    blocks: tuple[tuple[str, ...], ...]  # grading blocks, boundary variable first
+    chart_vars: tuple[str, ...]          # coordinates of the affine chart
+    boundary_vars: tuple[str, ...]       # set to 1 on the chart
 
     def __str__(self) -> str:
         return self.kind
 
 
-_P2 = SurfaceModel("p2", ("x", "y", "z"), ("x", "y"), ("z",))
-_P1XP1 = SurfaceModel("p1xp1", ("x0", "x1", "y0", "y1"), ("x1", "y1"), ("x0", "y0"))
+def _model(kind: str, variables: tuple[str, ...],
+           blocks: tuple[tuple[str, ...], ...]) -> SurfaceModel:
+    return SurfaceModel(kind, variables, blocks,
+                        tuple(v for b in blocks for v in b[1:]),
+                        tuple(b[0] for b in blocks))
+
+
+_P2 = _model("p2", ("x", "y", "z"), (("z", "x", "y"),))
+_P1XP1 = _model("p1xp1", ("x0", "x1", "y0", "y1"), (("x0", "x1"), ("y0", "y1")))
 
 
 def surface(kind: str) -> SurfaceModel:
@@ -68,11 +75,16 @@ def surface(kind: str) -> SurfaceModel:
     raise ValueError(f"unknown surface {kind!r}")
 
 
-def blocks(s: SurfaceModel) -> tuple[tuple[str, str], tuple[str, str]]:
-    """The two ruling blocks of P^1 x P^1."""
-    if s.kind != "p1xp1":
-        raise ValueError("blocks are only defined on p1xp1")
-    return ("x0", "x1"), ("y0", "y1")
+def _block_indices(s: SurfaceModel) -> list[list[int]]:
+    return [[s.variables.index(v) for v in b] for b in s.blocks]
+
+
+def model_degree(s: SurfaceModel, p: Poly) -> tuple[int, ...] | None:
+    """The degree of p in each grading block; None when p is zero or not
+    (bi)homogeneous."""
+    blocks = _block_indices(s)
+    degs = {tuple(sum(e[i] for i in b) for b in blocks) for e in p._terms}
+    return degs.pop() if len(degs) == 1 else None
 
 
 def is_chart_poly(s: SurfaceModel, p: Poly) -> bool:
@@ -92,41 +104,34 @@ def dehomogenize(s: SurfaceModel, p: Poly) -> Poly:
 
 
 def homogenize(s: SurfaceModel, p: Poly) -> Poly:
-    """Minimal (bi)homogenization of a chart polynomial: boundary variables
-    pad each term up to the (bi)degree, and do not divide the result."""
+    """Minimal (bi)homogenization of a chart polynomial: in each block the
+    boundary variable pads each term up to the block's largest chart
+    degree, and does not divide the result."""
     require_chart(s, p)
     if p.is_zero():
         raise PolyError("cannot homogenize the zero polynomial")
-    vs = s.variables
-    if s.kind == "p2":
-        d = p.total_degree()
-        iz = vs.index("z")
-        ix, iy = vs.index("x"), vs.index("y")
-        terms = {}
-        for e, c in p._terms.items():
-            ne = list(e)
-            ne[iz] = d - e[ix] - e[iy]
-            terms[tuple(ne)] = c
-        return Poly(vs, terms)
-    dx = p.degree_in("x1")
-    dy = p.degree_in("y1")
-    i0, i1 = vs.index("x0"), vs.index("x1")
-    j0, j1 = vs.index("y0"), vs.index("y1")
+    blocks = _block_indices(s)
+    tops = [max(sum(e[i] for i in b[1:]) for e in p._terms) for b in blocks]
     terms = {}
     for e, c in p._terms.items():
         ne = list(e)
-        ne[i0] = dx - e[i1]
-        ne[j0] = dy - e[j1]
+        for b, top in zip(blocks, tops):
+            ne[b[0]] = top - sum(e[i] for i in b[1:])
         terms[tuple(ne)] = c
-    return Poly(vs, terms)
+    return Poly(s.variables, terms)
 
 
-def is_model_homogeneous(s: SurfaceModel, p: Poly) -> bool:
-    if p.is_zero():
-        return False
-    if s.kind == "p2":
-        return degree_profile(p) != "inhomogeneous"
-    return degree_profile(p, blocks(s)) != "inhomogeneous"
+def _balance(s: SurfaceModel, pn: Poly, pd: Poly,
+             pads: tuple[Poly, ...]) -> tuple[Poly, Poly]:
+    """Equalize the degrees of two (bi)homogeneous polynomials: in each
+    block the member of lower degree is multiplied by that block's padding
+    form raised to the difference."""
+    for a, b, pad in zip(model_degree(s, pn), model_degree(s, pd), pads):
+        if a < b:
+            pn = pn * pad ** (b - a)
+        elif a > b:
+            pd = pd * pad ** (a - b)
+    return pn, pd
 
 
 def graded_pair(s: SurfaceModel, f: RatFn) -> tuple[Poly, Poly]:
@@ -137,17 +142,8 @@ def graded_pair(s: SurfaceModel, f: RatFn) -> tuple[Poly, Poly]:
     require_chart(s, den)
     if num.is_zero():
         raise PolyError("graded pair of zero")
-    hn = homogenize(s, num)
-    hd = homogenize(s, den)
-    vs = s.variables
-    if s.kind == "p2":
-        z = Poly.var(vs, "z")
-        return hn * z ** den.total_degree(), hd * z ** num.total_degree()
-    x0 = Poly.var(vs, "x0")
-    y0 = Poly.var(vs, "y0")
-    pn = hn * x0 ** den.degree_in("x1") * y0 ** den.degree_in("y1")
-    pd = hd * x0 ** num.degree_in("x1") * y0 ** num.degree_in("y1")
-    return pn, pd
+    return _balance(s, homogenize(s, num), homogenize(s, den),
+                    tuple(Poly.var(s.variables, v) for v in s.boundary_vars))
 
 
 # -------------------------------------------------------------- prime divisors
@@ -171,7 +167,7 @@ def prime_divisor(s: SurfaceModel, p: Poly) -> PrimeDivisor:
     if p.is_zero() or p.is_constant():
         raise PolyError("a prime divisor needs a non-constant polynomial")
     q = normalize(p)
-    if not is_model_homogeneous(s, q):
+    if model_degree(s, q) is None:
         raise PolyError(f"{q} is not (bi)homogeneous on {s.kind}")
     if not is_irreducible(q):
         raise PolyError(f"{q} is not irreducible")
@@ -395,65 +391,45 @@ CONIC_POINT_HEIGHT_BOUND = 100
 def parametrize(c: PrimeDivisor) -> CurveParam:
     """Rational parametrization of a line, ruling, or conic-type divisor."""
     s = c.surface
-    if s.kind == "p2":
-        d = c.poly.total_degree()
-        if d == 1:
-            a, b, cz = _int_coeffs(c.poly, ("x", "y", "z"))
-            va, vb = _line_points((a, b, cz))
-            t = Poly.var(T_VARS, "t")
-            coords = tuple(Poly.const(T_VARS, vb[k]) + t * va[k] for k in range(3))
-            param = CurveParam(c, coords, None)
-        elif d == 2:
-            pt = _search_conic_point(c.poly, CONIC_POINT_HEIGHT_BOUND)
-            if pt is None:
-                raise UnsupportedCurveError(
-                    f"no rational point of height <= {CONIC_POINT_HEIGHT_BOUND} on {c}")
-            coords = _conic_param_checked(c.poly, pt)
-            param = CurveParam(c, coords, pt)
-        else:
-            raise UnsupportedCurveError(f"degree-{d} curve {c} on p2 is unsupported")
-        _verify_param(c, param.coords)
-        return param
-
-    # p1xp1
-    bd = degree_profile(c.poly, blocks(s))
+    deg = model_degree(s, c.poly)
     t = Poly.var(T_VARS, "t")
     one = Poly.const(T_VARS, 1)
-    if bd == (1, 0):
+    pt = None
+    if s.kind == "p2":
+        if deg[0] > 2:
+            raise UnsupportedCurveError(f"degree-{deg[0]} curve {c} on p2 is unsupported")
+        coords, pt = _plane_param(c.poly, c)
+    elif deg == (1, 0):
         a, b = _int_coeffs(c.poly, ("x0", "x1"))
-        pt = _normalize_int_vector((b, -a))
-        coords = (Poly.const(T_VARS, pt[0]), Poly.const(T_VARS, pt[1]), one, t)
-        param = CurveParam(c, coords, None)
-    elif bd == (0, 1):
+        coords = tuple(Poly.const(T_VARS, v) for v in _normalize_int_vector((b, -a))) + (one, t)
+    elif deg == (0, 1):
         a, b = _int_coeffs(c.poly, ("y0", "y1"))
-        pt = _normalize_int_vector((b, -a))
-        coords = (one, t, Poly.const(T_VARS, pt[0]), Poly.const(T_VARS, pt[1]))
-        param = CurveParam(c, coords, None)
+        coords = (one, t) + tuple(Poly.const(T_VARS, v) for v in _normalize_int_vector((b, -a)))
     else:
         chart = dehomogenize(s, c.poly)
         if chart.is_constant() or chart.total_degree() > 2:
             raise UnsupportedCurveError(
-                f"divisor {c} of bidegree {bd} is outside the supported class")
+                f"divisor {c} of bidegree {deg} is outside the supported class")
         # plane model in the chart coordinates plus a homogenizing slot
-        aux_vars = ("u", "v", "w")
-        g = _to_plane(chart, s.chart_vars, aux_vars)
-        if g.total_degree() == 1:
-            a, b, cz = _int_coeffs(g, aux_vars)
-            va, vb = _line_points((a, b, cz))
-            U, V, W = (Poly.const(T_VARS, vb[k]) + t * va[k] for k in range(3))
-            pt3 = None
-        else:
-            pt3 = _search_conic_point(g, CONIC_POINT_HEIGHT_BOUND)
-            if pt3 is None:
-                raise UnsupportedCurveError(
-                    f"no rational point of height <= {CONIC_POINT_HEIGHT_BOUND} on {c}")
-            U, V, W = _conic_param_checked(g, pt3)
-        x0, x1 = _reduce_pair(W, U)
-        y0, y1 = _reduce_pair(W, V)
-        coords = (x0, x1, y0, y1)
-        param = CurveParam(c, coords, pt3)
-    _verify_param(c, param.coords)
-    return param
+        (U, V, W), pt = _plane_param(_to_plane(chart, s.chart_vars, ("u", "v", "w")), c)
+        coords = _reduce_pair(W, U) + _reduce_pair(W, V)
+    _verify_param(c, coords)
+    return CurveParam(c, coords, pt)
+
+
+def _plane_param(g: Poly, c: PrimeDivisor) -> tuple[tuple[Poly, Poly, Poly],
+                                                    tuple[int, int, int] | None]:
+    """Parametrization of the plane line or conic g, a model of c, with the
+    rational point used for a conic."""
+    if g.total_degree() == 1:
+        va, vb = _line_points(_int_coeffs(g, g.variables))
+        t = Poly.var(T_VARS, "t")
+        return tuple(Poly.const(T_VARS, vb[k]) + t * va[k] for k in range(3)), None
+    pt = _search_conic_point(g, CONIC_POINT_HEIGHT_BOUND)
+    if pt is None:
+        raise UnsupportedCurveError(
+            f"no rational point of height <= {CONIC_POINT_HEIGHT_BOUND} on {c}")
+    return _conic_param_checked(g, pt), pt
 
 
 def _to_plane(chart: Poly, chart_vars: tuple[str, ...], aux: tuple[str, str, str]) -> Poly:
@@ -536,10 +512,16 @@ def restrict_unit(f: RatFn | Poly, c: PrimeDivisor) -> RatFn:
     v, pn, pd = _unit_part(f, c)
     if v:
         raise PolyError(f"{f} is not a unit along {c} (valuation {v})")
+    return _on_curve(f, pn, pd, c)
+
+
+def _on_curve(f: RatFn, pn: Poly, pd: Poly, c: PrimeDivisor) -> RatFn:
+    """The unit f, presented as pn / pd, composed with the parametrization
+    of c."""
     param = parametrize(c)
     num_t = _compose(pn, param.coords)
     den_t = _compose(pd, param.coords)
-    if den_t.is_zero() or num_t.is_zero():
+    if num_t.is_zero() or den_t.is_zero():
         raise PolyError(f"restriction of {f} to {c} degenerated")
     return RatFn(num_t, den_t)
 
@@ -555,7 +537,7 @@ class HenselWitness:
     passed: bool
 
 
-def _padding_form(s: SurfaceModel, pi: Poly, block: tuple[str, str]) -> Poly:
+def _padding_form(s: SurfaceModel, pi: Poly, block: tuple[str, ...]) -> Poly:
     for name in block:
         v = Poly.var(s.variables, name)
         if v != pi:
@@ -576,33 +558,7 @@ def hensel_report(d: RatFn | Poly, c: PrimeDivisor) -> HenselWitness:
         return HenselWitness(c, v, None, None, False)
     # rebalance degrees with boundary-side units; the exponent shift is
     # v * deg(pi) per block, even, so the square class on the curve is safe
-    if s.kind == "p2":
-        diff = pn.total_degree() - pd.total_degree()
-        pad = _padding_form(s, c.poly, ("z", "x", "y"))
-        if diff < 0:
-            pn = pn * pad ** (-diff)
-        elif diff > 0:
-            pd = pd * pad ** diff
-    else:
-        dpx = degree_profile(pn, blocks(s))
-        dqx = degree_profile(pd, blocks(s))
-        dx = dpx[0] - dqx[0]
-        dy = dpx[1] - dqx[1]
-        padx = _padding_form(s, c.poly, ("x0", "x1"))
-        pady = _padding_form(s, c.poly, ("y0", "y1"))
-        if dx < 0:
-            pn = pn * padx ** (-dx)
-        elif dx > 0:
-            pd = pd * padx ** dx
-        if dy < 0:
-            pn = pn * pady ** (-dy)
-        elif dy > 0:
-            pd = pd * pady ** dy
-    param = parametrize(c)
-    num_t = _compose(pn, param.coords)
-    den_t = _compose(pd, param.coords)
-    if num_t.is_zero() or den_t.is_zero():
-        raise PolyError(f"unit part of {d} degenerated along {c}")
-    r = RatFn(num_t, den_t)
+    pn, pd = _balance(s, pn, pd, tuple(_padding_form(s, c.poly, b) for b in s.blocks))
+    r = _on_curve(d, pn, pd, c)
     ok = CurveClass.from_ratfn(r).is_trivial
     return HenselWitness(c, v, r, ok, ok)

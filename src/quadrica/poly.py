@@ -999,9 +999,6 @@ class RatFn:
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_constant()
 
-    def is_polynomial(self) -> bool:
-        return self.den.is_constant()
-
     def __mul__(self, other: RatFn | Poly | Scalar) -> RatFn:
         if isinstance(other, Poly):
             other = RatFn(other)

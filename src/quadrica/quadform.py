@@ -27,10 +27,9 @@ from .brauer import BrauerClass, add_classes, symbol
 from .funfield import (
     SquareClass,
     SurfaceModel,
-    blocks,
     dehomogenize,
     is_chart_poly,
-    is_model_homogeneous,
+    model_degree,
     square_class,
     surface,
 )
@@ -108,7 +107,7 @@ def make_diag_form(entries, s: SurfaceModel) -> DiagForm:
             raise QuadformError(f"entries must be polynomials over {s.variables}")
         if e.is_zero():
             raise QuadformError("weak bundle requires nonzero diagonal entries")
-        if not is_model_homogeneous(s, e):
+        if model_degree(s, e) is None:
             raise QuadformError(f"entry {e} is not (bi)homogeneous on {s.kind}")
     return DiagForm(es, s, affine=False)
 
@@ -150,25 +149,34 @@ class BundleType:
 
     @staticmethod
     def of(surface_kind: str, seq) -> BundleType:
-        raw = tuple(tuple(p) if isinstance(p, (tuple, list)) else int(p) for p in seq)
+        """The type with the four components of seq, each a sequence of one
+        degree per grading block, or a bare int on P^2."""
+        n = len(surface(surface_kind).blocks)
+        raw = []
+        for p in seq:
+            degs = tuple(p) if isinstance(p, (tuple, list)) else (int(p),)
+            if len(degs) != n:
+                raise QuadformError(
+                    f"component {p!r} of a {surface_kind} type needs one degree per block")
+            raw.append(degs if n > 1 else degs[0])
         if len(raw) != 4:
             raise QuadformError("a bundle type has exactly 4 components")
         srt = tuple(sorted(raw))
-        return BundleType(surface_kind, srt, reordered=(srt != raw))
+        return BundleType(surface_kind, srt, reordered=(srt != tuple(raw)))
+
+    def degrees(self) -> tuple[tuple[int, ...], ...]:
+        """Each component as its degrees, one per grading block."""
+        if len(surface(self.surface_kind).blocks) > 1:
+            return self.data
+        return tuple((d,) for d in self.data)
 
     @property
     def parity_valid(self) -> bool:
-        if self.surface_kind == "p2":
-            return len({d % 2 for d in self.data}) == 1
-        ds = {p[0] % 2 for p in self.data}
-        es = {p[1] % 2 for p in self.data}
-        return len(ds) == 1 and len(es) == 1
+        return all(len({d % 2 for d in col}) == 1 for col in zip(*self.degrees()))
 
     @property
     def nonnegative(self) -> bool:
-        if self.surface_kind == "p2":
-            return all(d >= 0 for d in self.data)
-        return all(d >= 0 and e >= 0 for d, e in self.data)
+        return all(d >= 0 for degs in self.degrees() for d in degs)
 
     def validate(self) -> None:
         if not self.nonnegative:
@@ -177,38 +185,22 @@ class BundleType:
             raise QuadformError(f"type {self} violates the parity constraint")
 
     def ds(self) -> tuple[int, int, int, int]:
-        if self.surface_kind == "p2":
-            return self.data  # type: ignore[return-value]
-        return tuple(p[0] for p in self.data)  # type: ignore[return-value]
+        return tuple(degs[0] for degs in self.degrees())  # type: ignore[return-value]
 
     def es(self) -> tuple[int, int, int, int]:
         if self.surface_kind != "p1xp1":
             raise QuadformError("second degrees exist only on p1xp1")
-        return tuple(p[1] for p in self.data)  # type: ignore[return-value]
+        return tuple(degs[1] for degs in self.degrees())  # type: ignore[return-value]
 
     def __str__(self) -> str:
-        if self.surface_kind == "p2":
-            return ",".join(str(d) for d in self.data)
-        return ",".join(f"{d}:{e}" for d, e in self.data)
+        return ",".join(":".join(str(d) for d in degs) for degs in self.degrees())
 
 
 def type_of(f: DiagForm) -> BundleType:
     """Per-entry (bi)degrees, sorted lexicographically."""
     if f.affine:
         raise QuadformError("bundle types are read off the projective form")
-    s = f.surface
-    if s.kind == "p2":
-        degs = [e.total_degree() for e in f.entries]
-    else:
-        degs = [e_bidegree(s, e) for e in f.entries]
-    return BundleType.of(s.kind, degs)
-
-
-def e_bidegree(s: SurfaceModel, e: Poly) -> tuple[int, int]:
-    from .poly import degree_profile
-    bd = degree_profile(e, blocks(s))
-    assert bd != "inhomogeneous"
-    return bd  # type: ignore[return-value]
+    return BundleType.of(f.surface.kind, [model_degree(f.surface, e) for e in f.entries])
 
 
 def weak_gcd(f: DiagForm) -> Poly:

@@ -448,6 +448,100 @@ def test_p2_dispatch_completeness_bound_12():
             assert t == (2, 2, 2, 2)
 
 
+def reference_construct_degeneration_p2(t):
+    """The if-chain that wrote out the P^2 entries before the rule table."""
+    s = surface("p2")
+    t.validate()
+    d0, d1, d2, d3 = t.ds()
+    F = canonical_quadric(s)
+    x, y, z = (Poly.var(s.variables, v) for v in s.variables)
+    if (d0, d1, d2, d3) == (2, 2, 2, 2):
+        return make_diag_form((y * z, x * z, x * y, F), s), "hpt-direct"
+    if sum(t.ds()) < 8 or d1 < 1 or d3 < 3:
+        raise ConstructionError(f"type {t} is not in a certifiable branch")
+    if d0 % 2 == 0:
+        entries = (z ** d0, x * z ** (d1 - 1), x ** (d2 - 1) * y, y * z ** (d3 - 3) * F)
+        rule = "q2"
+    elif d2 >= 3:
+        entries = (z ** d0, x ** d1, x * y * z ** (d2 - 2), y * z ** (d3 - 3) * F)
+        rule = "q1"
+    else:
+        assert d2 == 1 and d3 - 4 >= 1, f"exponent safety violated for {t}"
+        entries = (z ** d0, x ** d1, y * z ** (d2 - 1), x * y * z ** (d3 - 4) * F)
+        rule = "q3"
+    return make_diag_form(entries, s), rule
+
+
+def test_p2_rules_match_reference_chain():
+    raised = 0
+    for data in enumerate_types_p2(20):
+        t = BundleType.of("p2", data)
+        try:
+            want = reference_construct_degeneration_p2(t)
+        except ConstructionError:
+            raised += 1
+            with pytest.raises(ConstructionError):
+                construct_degeneration_p2(t)
+            continue
+        assert construct_degeneration_p2(t) == want, t
+    assert 0 < raised < len(enumerate_types_p2(20))
+
+
+# The P^1 x P^1 case tables before the rule table: the first three entries
+# as (x-block, y-block) monomials, and a tail every rule shares.
+REFERENCE_P1XP1_RULES = {
+    "A1": (("x1", "y1"), ("x0", "y0*y1"), ("x0*x1", "y0")),
+    "A2": (("x0", "y1"), ("x0", "y0*y1"), ("x1", "y0")),
+    "A3": (("x1", "y0"), ("x0", "y1"), ("x0*x1", "y0")),
+    "A4": (("x0", "y0"), ("x0", "y1"), ("x1", "y0")),
+    "B1": (("x1", "y0*y1"), ("x0", ""), ("x0*x1", "y0")),
+    "B2": (("x0", "y0*y1"), ("x0", ""), ("x1", "y0")),
+    "C1": (("x1", ""), ("x0*x1", ""), ("x0", "y0*y1")),
+    "C2": (("x0", ""), ("x1", ""), ("x0", "y0*y1")),
+}
+
+
+def reference_construct_rule_p1xp1(t, rule):
+    def exps(mono, k):
+        if not mono:
+            return {}
+        first, *rest = mono.split("*")
+        return {first: k - len(rest), **{v: 1 for v in rest}}
+
+    def mono(**exps):
+        if any(k < 0 for k in exps.values()):
+            raise ConstructionError(f"negative exponent in {exps}")
+        return Poly.monomial(s.variables, exps)
+
+    s = surface("p1xp1")
+    t.validate()
+    d, e = t.ds(), t.es()
+    tail = mono(x0=d[3] - 3, y0=e[3] - 3, x1=1, y1=1) * canonical_quadric(s)
+    entries = tuple(mono(**exps(xm, d[i]), **exps(ym, e[i]))
+                    for i, (xm, ym) in enumerate(REFERENCE_P1XP1_RULES[rule])) + (tail,)
+    form = make_diag_form(entries, s)
+    if not is_weak_bundle(form):
+        raise ConstructionError(f"rule {rule} produced non-coprime entries for {t}")
+    return form
+
+
+def test_p1xp1_rules_match_reference_table():
+    built = raised = 0
+    for data in enumerate_types_p1xp1(4):
+        t = BundleType.of("p1xp1", data)
+        for rule in REFERENCE_P1XP1_RULES:
+            try:
+                want = reference_construct_rule_p1xp1(t, rule)
+            except ConstructionError:
+                raised += 1
+                with pytest.raises(ConstructionError):
+                    construct_degeneration_p1xp1(t, rule)
+                continue
+            built += 1
+            assert construct_degeneration_p1xp1(t, rule) == want, (t, rule)
+    assert built and raised
+
+
 def test_exponent_safety_q3_branch():
     # on the d0-odd, d2 = 1 branch, d3 >= 5 always
     for t in enumerate_types_p2(12):

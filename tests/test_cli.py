@@ -156,14 +156,6 @@ def test_table_json_lines(capsys):
         assert {"type", "outcome", "reason", "digest"} <= set(row)
 
 
-def test_env_jobs_default(monkeypatch):
-    monkeypatch.setenv("QUADRICA_JOBS", "3")
-    from quadrica.cli import _default_jobs
-    assert _default_jobs() == 3
-    monkeypatch.setenv("QUADRICA_JOBS", "junk")
-    assert _default_jobs() == 1
-
-
 def test_invariants_linear_entries(capsys):
     # y^2-1 splits over Q, so every residue divisor is a line
     code, out, _ = run_cli(capsys, "invariants", "--surface", "p2",

@@ -245,3 +245,179 @@ def test_curve_class_algebra():
     b = CurveClass.from_ratfn(RatFn(tpoly("t^3"), tpoly("t^2")))
     assert b == CurveClass.from_ratfn(RatFn(tpoly("t")))
     assert (b * b).is_trivial
+
+
+# ------------------------------------------- differential test of the grading
+
+
+def reference_homogenize(s, p):
+    """The two-branch homogenization that the grading blocks replaced."""
+    vs = s.variables
+    terms = {}
+    if s.kind == "p2":
+        d = p.total_degree()
+        for e, c in p._terms.items():
+            ne = list(e)
+            ne[vs.index("z")] = d - e[vs.index("x")] - e[vs.index("y")]
+            terms[tuple(ne)] = c
+        return Poly(vs, terms)
+    dx, dy = p.degree_in("x1"), p.degree_in("y1")
+    for e, c in p._terms.items():
+        ne = list(e)
+        ne[vs.index("x0")] = dx - e[vs.index("x1")]
+        ne[vs.index("y0")] = dy - e[vs.index("y1")]
+        terms[tuple(ne)] = c
+    return Poly(vs, terms)
+
+
+def reference_graded_pair(s, f):
+    """Each member padded by the full degree of the other."""
+    hn, hd = reference_homogenize(s, f.num), reference_homogenize(s, f.den)
+    vs = s.variables
+    if s.kind == "p2":
+        z = Poly.var(vs, "z")
+        return hn * z ** f.den.total_degree(), hd * z ** f.num.total_degree()
+    x0, y0 = Poly.var(vs, "x0"), Poly.var(vs, "y0")
+    return (hn * x0 ** f.den.degree_in("x1") * y0 ** f.den.degree_in("y1"),
+            hd * x0 ** f.num.degree_in("x1") * y0 ** f.num.degree_in("y1"))
+
+
+def reference_unit_part(f, c):
+    from quadrica.poly import divide_out
+    pn, pd = reference_graded_pair(c.surface, f)
+    vn, pn = divide_out(pn, c.poly)
+    vd, pd = divide_out(pd, c.poly)
+    return vn - vd, pn, pd
+
+
+def reference_parametrize(c):
+    """The parametrization with the line and conic code written out once
+    per surface."""
+    from quadrica.funfield import (CONIC_POINT_HEIGHT_BOUND, CurveParam, _conic_param_checked,
+                                   _int_coeffs, _line_points, _normalize_int_vector,
+                                   _reduce_pair, _search_conic_point, _to_plane,
+                                   _verify_param)
+    from quadrica.poly import degree_profile
+    s = c.surface
+    t = Poly.var(T, "t")
+    one = Poly.const(T, 1)
+    if s.kind == "p2":
+        d = c.poly.total_degree()
+        if d == 1:
+            va, vb = _line_points(_int_coeffs(c.poly, ("x", "y", "z")))
+            param = CurveParam(c, tuple(Poly.const(T, vb[k]) + t * va[k] for k in range(3)), None)
+        elif d == 2:
+            pt = _search_conic_point(c.poly, CONIC_POINT_HEIGHT_BOUND)
+            if pt is None:
+                raise UnsupportedCurveError(
+                    f"no rational point of height <= {CONIC_POINT_HEIGHT_BOUND} on {c}")
+            param = CurveParam(c, _conic_param_checked(c.poly, pt), pt)
+        else:
+            raise UnsupportedCurveError(f"degree-{d} curve {c} on p2 is unsupported")
+        _verify_param(c, param.coords)
+        return param
+    bd = degree_profile(c.poly, (("x0", "x1"), ("y0", "y1")))
+    if bd == (1, 0):
+        a, b = _int_coeffs(c.poly, ("x0", "x1"))
+        pt = _normalize_int_vector((b, -a))
+        param = CurveParam(c, (Poly.const(T, pt[0]), Poly.const(T, pt[1]), one, t), None)
+    elif bd == (0, 1):
+        a, b = _int_coeffs(c.poly, ("y0", "y1"))
+        pt = _normalize_int_vector((b, -a))
+        param = CurveParam(c, (one, t, Poly.const(T, pt[0]), Poly.const(T, pt[1])), None)
+    else:
+        chart = dehomogenize(s, c.poly)
+        if chart.is_constant() or chart.total_degree() > 2:
+            raise UnsupportedCurveError(
+                f"divisor {c} of bidegree {bd} is outside the supported class")
+        aux_vars = ("u", "v", "w")
+        g = _to_plane(chart, s.chart_vars, aux_vars)
+        if g.total_degree() == 1:
+            va, vb = _line_points(_int_coeffs(g, aux_vars))
+            U, V, W = (Poly.const(T, vb[k]) + t * va[k] for k in range(3))
+            pt3 = None
+        else:
+            pt3 = _search_conic_point(g, CONIC_POINT_HEIGHT_BOUND)
+            if pt3 is None:
+                raise UnsupportedCurveError(
+                    f"no rational point of height <= {CONIC_POINT_HEIGHT_BOUND} on {c}")
+            U, V, W = _conic_param_checked(g, pt3)
+        param = CurveParam(c, _reduce_pair(W, U) + _reduce_pair(W, V), pt3)
+    _verify_param(c, param.coords)
+    return param
+
+
+def reference_on_curve(pn, pd, c):
+    from quadrica.funfield import _compose
+    param = reference_parametrize(c)
+    num_t, den_t = _compose(pn, param.coords), _compose(pd, param.coords)
+    assert not num_t.is_zero() and not den_t.is_zero()
+    return RatFn(num_t, den_t)
+
+
+def reference_hensel_report(d, c):
+    """The Hensel test with one padding branch per surface."""
+    from quadrica.funfield import HenselWitness, _padding_form
+    from quadrica.poly import degree_profile
+    s = c.surface
+    v, pn, pd = reference_unit_part(d, c)
+    if v % 2 != 0:
+        return HenselWitness(c, v, None, None, False)
+    if s.kind == "p2":
+        diffs = [pn.total_degree() - pd.total_degree()]
+        blocks = [("z", "x", "y")]
+    else:
+        blocks = [("x0", "x1"), ("y0", "y1")]
+        dn, dd = degree_profile(pn, blocks), degree_profile(pd, blocks)
+        diffs = [dn[0] - dd[0], dn[1] - dd[1]]
+    for diff, block in zip(diffs, blocks):
+        pad = _padding_form(s, c.poly, block)
+        if diff < 0:
+            pn = pn * pad ** (-diff)
+        elif diff > 0:
+            pd = pd * pad ** diff
+    r = reference_on_curve(pn, pd, c)
+    ok = CurveClass.from_ratfn(r).is_trivial
+    return HenselWitness(c, v, r, ok, ok)
+
+
+def units_met_while_certifying(monkeypatch):
+    """Every (unit, divisor) pair handed to the valuation, restriction and
+    Hensel tests by the verdicts of P^2 up to bound 8 and P^1 x P^1 up to
+    bound 3."""
+    import quadrica.brauer as brauer
+    import quadrica.certify as certify
+    met = {}
+    for space, name in ((brauer, "valuation_along"), (brauer, "restrict_unit"),
+                        (certify, "hensel_report")):
+        def record(f, c, _fn=getattr(space, name)):
+            met[(RatFn(f) if isinstance(f, Poly) else f, c)] = None
+            return _fn(f, c)
+        monkeypatch.setattr(space, name, record)
+    for data in certify.enumerate_types_p2(8):
+        certify.verdict_for("p2", data)
+    for data in certify.enumerate_types_p1xp1(3):
+        certify.verdict_for("p1xp1", data)
+    return list(met)
+
+
+def test_grading_matches_two_branch_reference(monkeypatch):
+    from quadrica.funfield import graded_pair, model_degree
+    pairs = units_met_while_certifying(monkeypatch)
+    divisors = {c for _, c in pairs}
+    assert {c.surface.kind for c in divisors} == {"p2", "p1xp1"}
+    for c in divisors:
+        assert parametrize(c) == reference_parametrize(c), c
+    for f, c in pairs:
+        s = c.surface
+        for p in (f.num, f.den):
+            assert homogenize(s, p) == reference_homogenize(s, p)
+        pn, pd = graded_pair(s, f)
+        qn, qd = reference_graded_pair(s, f)
+        assert qn * pd == pn * qd
+        assert model_degree(s, pn) == model_degree(s, pd) is not None
+        v, un, ud = reference_unit_part(f, c)
+        assert valuation_along(f, c) == v
+        if v == 0:
+            assert restrict_unit(f, c) == reference_on_curve(un, ud, c), (f, c)
+        assert hensel_report(f, c) == reference_hensel_report(f, c), (f, c)

@@ -76,6 +76,13 @@ def test_bundle_type_sorting_and_parity():
         BundleType.of("p2", (1, 2, 2, 2)).validate()
     with pytest.raises(QuadformError):
         BundleType.of("p2", (-2, 2, 2, 2)).validate()
+    # a component needs one degree per grading block of its surface
+    from quadrica.certify import verdict_for
+    for kind, data in (("p1xp1", (1, 1, 1, 3)),
+                       ("p2", ((1, 1), (1, 1), (1, 1), (3, 3))),
+                       ("p1xp1", ((1, 1, 1), (1, 1), (1, 1), (3, 3)))):
+        with pytest.raises(QuadformError, match="one degree per block"):
+            verdict_for(kind, data)
 
 
 def test_is_weak_bundle(p2, F, xyz):
