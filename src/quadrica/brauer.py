@@ -6,7 +6,10 @@ the square classes of its entries.  The tame residue of (f, g) along a
 prime divisor with valuations m = v(f), n = v(g) is the square class of
 the restriction of f^n / g^m to the divisor; the sign (-1)^(mn) of the
 general tame-symbol formula is a constant, hence a square over C, and
-is dropped.
+is dropped.  With f = pi^m * u and g = pi^n * w for units u, w, that
+restriction is u^n / w^m, and restriction is a ring homomorphism, so the
+residue is the class of u restricted when n is odd times that of w when
+m is odd (the degree paddings of u and w cancel in the product).
 
 Equality of classes is decided by total residue triviality on the fixed
 rational model: the unramified 2-torsion Brauer group of P^2 and of
@@ -22,13 +25,13 @@ from dataclasses import dataclass
 from .funfield import (
     CurveClass,
     PrimeDivisor,
+    SquareClass,
     SurfaceModel,
     coordinate_divisors,
     homogenize,
     prime_divisor,
     require_chart,
-    restrict_unit,
-    valuation_along,
+    unit_part,
 )
 from .poly import Poly, PolyError, RatFn, as_ratfn, factor, square_class_part
 
@@ -38,10 +41,6 @@ class BrauerClass:
     """Formal F_2-sum of symbols; slots are canonical square-free polys."""
 
     symbols: frozenset[tuple[Poly, Poly]]
-
-    @property
-    def is_formally_empty(self) -> bool:
-        return not self.symbols
 
     def sorted_symbols(self) -> tuple[tuple[Poly, Poly], ...]:
         return tuple(sorted(self.symbols, key=lambda ab: (str(ab[0]), str(ab[1]))))
@@ -55,16 +54,23 @@ class BrauerClass:
 EMPTY_CLASS = BrauerClass(frozenset())
 
 
-def symbol(a: RatFn | Poly, b: RatFn | Poly) -> BrauerClass:
-    """The one-symbol class (a, b); trivial slots collapse it to zero."""
-    fa, fb = as_ratfn(a), as_ratfn(b)
-    if fa.is_zero() or fb.is_zero():
-        raise PolyError("symbol entries must be nonzero")
-    ra = square_class_part(fa.num * fa.den)
-    rb = square_class_part(fb.num * fb.den)
+def symbol(a: SquareClass | RatFn | Poly, b: SquareClass | RatFn | Poly) -> BrauerClass:
+    """The one-symbol class (a, b); trivial slots collapse it to zero.  A
+    SquareClass slot is taken as its representative, which is already the
+    canonical square-free form."""
+    ra, rb = _slot(a), _slot(b)
     if ra.is_constant() or rb.is_constant():
         return EMPTY_CLASS
     return BrauerClass(frozenset({(ra, rb)}))
+
+
+def _slot(f: SquareClass | RatFn | Poly) -> Poly:
+    if isinstance(f, SquareClass):
+        return f.representative()
+    f = as_ratfn(f)
+    if f.is_zero():
+        raise PolyError("symbol entries must be nonzero")
+    return square_class_part(f.num * f.den)
 
 
 def add_classes(u: BrauerClass, v: BrauerClass) -> BrauerClass:
@@ -72,16 +78,15 @@ def add_classes(u: BrauerClass, v: BrauerClass) -> BrauerClass:
 
 
 def tame_residue(u: BrauerClass, c: PrimeDivisor) -> CurveClass:
-    """Product over symbols of the residue square classes along c."""
+    """Product over symbols of the residue square classes along c, from one
+    unit part per slot."""
+    parts = {p: unit_part(p, c) for ab in u.symbols for p in ab}
     res = CurveClass.trivial()
     for a, b in u.sorted_symbols():
-        fa, fb = RatFn(a), RatFn(b)
-        m = valuation_along(fa, c)
-        n = valuation_along(fb, c)
-        if m == 0 and n == 0:
-            continue
-        w = (fa ** n) / (fb ** m)
-        res = res * CurveClass.from_ratfn(restrict_unit(w, c))
+        if parts[b].valuation % 2:
+            res = res * CurveClass.from_ratfn(parts[a].on_curve())
+        if parts[a].valuation % 2:
+            res = res * CurveClass.from_ratfn(parts[b].on_curve())
     return res
 
 

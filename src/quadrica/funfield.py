@@ -180,19 +180,38 @@ def coordinate_divisors(s: SurfaceModel) -> tuple[PrimeDivisor, ...]:
 
 def valuation_along(f: RatFn | Poly, c: PrimeDivisor) -> int:
     """Order of vanishing of a chart function along the divisor."""
+    return unit_part(f, c).valuation
+
+
+@dataclass(frozen=True)
+class UnitPart:
+    """f = pi^valuation * unit along the divisor pi = 0; the pair is the
+    graded pair of f with every power of pi divided out of both members."""
+
+    f: RatFn
+    divisor: PrimeDivisor
+    valuation: int
+    pair: tuple[Poly, Poly]
+
+    def on_curve(self) -> RatFn:
+        """The pair composed with the parametrization of the divisor: the
+        restricted unit times a form of the pair's degree difference."""
+        coords = parametrize(self.divisor).coords
+        num_t, den_t = (_compose(p, coords) for p in self.pair)
+        if num_t.is_zero() or den_t.is_zero():
+            raise PolyError(f"restriction of {self.f} to {self.divisor} degenerated")
+        return RatFn(num_t, den_t)
+
+
+def unit_part(f: RatFn | Poly, c: PrimeDivisor) -> UnitPart:
+    """The valuation of f along c and its unit part, from one graded pair."""
     f = as_ratfn(f)
     if f.is_zero():
-        raise PolyError("valuation of zero is undefined")
-    return _unit_part(f, c)[0]
-
-
-def _unit_part(f: RatFn, c: PrimeDivisor) -> tuple[int, Poly, Poly]:
-    """The valuation of the nonzero f along c, and the graded pair of f with
-    every power of c divided out of both members."""
+        raise PolyError("zero has no valuation or unit part")
     pn, pd = graded_pair(c.surface, f)
     vn, pn = divide_out(pn, c.poly)
     vd, pd = divide_out(pd, c.poly)
-    return vn - vd, pn, pd
+    return UnitPart(f, c, vn - vd, (pn, pd))
 
 
 # -------------------------------------------------------------- square classes
@@ -506,24 +525,10 @@ def _reduce_pair(w: Poly, u: Poly) -> tuple[Poly, Poly]:
 def restrict_unit(f: RatFn | Poly, c: PrimeDivisor) -> RatFn:
     """Restriction of a unit along c to the curve, as a rational function of
     the curve parameter t."""
-    f = as_ratfn(f)
-    if f.is_zero():
-        raise PolyError("cannot restrict zero")
-    v, pn, pd = _unit_part(f, c)
-    if v:
-        raise PolyError(f"{f} is not a unit along {c} (valuation {v})")
-    return _on_curve(f, pn, pd, c)
-
-
-def _on_curve(f: RatFn, pn: Poly, pd: Poly, c: PrimeDivisor) -> RatFn:
-    """The unit f, presented as pn / pd, composed with the parametrization
-    of c."""
-    param = parametrize(c)
-    num_t = _compose(pn, param.coords)
-    den_t = _compose(pd, param.coords)
-    if num_t.is_zero() or den_t.is_zero():
-        raise PolyError(f"restriction of {f} to {c} degenerated")
-    return RatFn(num_t, den_t)
+    u = unit_part(f, c)
+    if u.valuation:
+        raise PolyError(f"{u.f} is not a unit along {c} (valuation {u.valuation})")
+    return u.on_curve()
 
 
 @dataclass(frozen=True)
@@ -549,16 +554,13 @@ def hensel_report(d: RatFn | Poly, c: PrimeDivisor) -> HenselWitness:
     """Decide whether d becomes a square in the fraction field of the
     completed local ring at c: even valuation, and the unit part restricts
     to a square in the residue field."""
-    d = as_ratfn(d)
-    if d.is_zero():
-        raise PolyError("discriminant is zero")
     s = c.surface
-    v, pn, pd = _unit_part(d, c)
-    if v % 2 != 0:
-        return HenselWitness(c, v, None, None, False)
+    u = unit_part(d, c)
+    if u.valuation % 2 != 0:
+        return HenselWitness(c, u.valuation, None, None, False)
     # rebalance degrees with boundary-side units; the exponent shift is
     # v * deg(pi) per block, even, so the square class on the curve is safe
-    pn, pd = _balance(s, pn, pd, tuple(_padding_form(s, c.poly, b) for b in s.blocks))
-    r = _on_curve(d, pn, pd, c)
+    pair = _balance(s, *u.pair, tuple(_padding_form(s, c.poly, b) for b in s.blocks))
+    r = UnitPart(u.f, c, u.valuation, pair).on_curve()
     ok = CurveClass.from_ratfn(r).is_trivial
-    return HenselWitness(c, v, r, ok, ok)
+    return HenselWitness(c, u.valuation, r, ok, ok)

@@ -154,10 +154,10 @@ class BundleType:
         n = len(surface(surface_kind).blocks)
         raw = []
         for p in seq:
-            degs = tuple(p) if isinstance(p, (tuple, list)) else (int(p),)
-            if len(degs) != n:
-                raise QuadformError(
-                    f"component {p!r} of a {surface_kind} type needs one degree per block")
+            degs = tuple(p) if isinstance(p, (tuple, list)) else (p,)
+            if len(degs) != n or not all(type(d) is int for d in degs):
+                raise QuadformError(f"component {p!r} of a {surface_kind} type "
+                                    "needs one degree per block, each an int")
             raw.append(degs if n > 1 else degs[0])
         if len(raw) != 4:
             raise QuadformError("a bundle type has exactly 4 components")
@@ -217,30 +217,23 @@ def is_weak_bundle(f: DiagForm) -> bool:
 
 
 def discriminant(f: DiagForm) -> SquareClass:
-    """Square class of the product of the four entries, read over the chart."""
-    fiber = generic_fiber(f)
-    prod = fiber.entries[0]
-    for e in fiber.entries[1:]:
-        prod = prod * e
-    return square_class(prod)
+    """Product of the square classes of the four entries over the chart."""
+    e0, e1, e2, e3 = (square_class(e) for e in generic_fiber(f).entries)
+    return e0 * e1 * e2 * e3
 
 
 def clifford_invariant(f: DiagForm) -> BrauerClass:
     """Clifford invariant of the generic fiber.
 
     The form is scaled by its first entry to <1, -a, -b, abd> with
-    a = e0*e1, b = e0*e2, d = discr modulo squares (signs are squares over
-    C); the invariant of the scaled form is (a, b) + (ab, d).
+    a = e0*e1, b = e0*e2, d = e0*e1*e2*e3 modulo squares (signs are squares
+    over C); the invariant of the scaled form is (a, b) + (ab, d).  All
+    three are products of the entries' square classes in F_2 arithmetic,
+    so the fourth slot, a*b*d = e0*e3, needs no check.
     """
-    fiber = generic_fiber(f)
-    e0, e1, e2, e3 = fiber.entries
-    a = square_class_part(e0 * e1)
-    b = square_class_part(e0 * e2)
-    d = square_class_part(e0 * e1 * e2 * e3)
-    # normal-form audit: the fourth scaled slot must be a*b*d modulo squares
-    if square_class_part(a * b * d) != square_class_part(e0 * e3):
-        raise QuadformError(f"entries of {f} do not match the <1,-a,-b,abd> pattern")
-    return add_classes(symbol(a, b), symbol(square_class_part(a * b), d))
+    e0, e1, e2, e3 = (square_class(e) for e in generic_fiber(f).entries)
+    a, b = e0 * e1, e0 * e2
+    return add_classes(symbol(a, b), symbol(a * b, a * e2 * e3))
 
 
 # -------------------------------------------------------------------- moves

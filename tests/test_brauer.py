@@ -197,3 +197,87 @@ def test_residues_vanish_off_support(p2, F, Fb, xyz):
         from quadrica.funfield import valuation_along
         if valuation_along(RatFn(a), dF) == 0 and valuation_along(RatFn(b), dF) == 0:
             assert res.is_trivial
+
+
+def reference_tame_residue(u, c):
+    """The residue as it was computed before unit parts: restrict
+    a^n / b^m for each symbol (a, b) with m = v(a), n = v(b)."""
+    from quadrica.funfield import restrict_unit, valuation_along
+    res = CurveClass.trivial()
+    for a, b in u.sorted_symbols():
+        fa, fb = RatFn(a), RatFn(b)
+        m, n = valuation_along(fa, c), valuation_along(fb, c)
+        if m == 0 and n == 0:
+            continue
+        res = res * CurveClass.from_ratfn(restrict_unit(fa ** n / fb ** m, c))
+    return res
+
+
+def residues_met_while_certifying(monkeypatch):
+    """Every (class, divisor) pair whose residue the verdicts of P^2 up to
+    bound 8 and P^1 x P^1 up to bound 3 compute."""
+    import quadrica.brauer as brauer
+    import quadrica.certify as certify
+    met = {}
+
+    def record(u, c, _fn=brauer.tame_residue):
+        met[(u, c)] = None
+        return _fn(u, c)
+    monkeypatch.setattr(brauer, "tame_residue", record)
+    for data in certify.enumerate_types_p2(8):
+        certify.verdict_for("p2", data)
+    for data in certify.enumerate_types_p1xp1(3):
+        certify.verdict_for("p1xp1", data)
+    monkeypatch.undo()
+    return list(met)
+
+
+def test_tame_residue_matches_reference_on_certificates(monkeypatch):
+    pairs = residues_met_while_certifying(monkeypatch)
+    assert {c.surface.kind for _, c in pairs} == {"p2", "p1xp1"}
+    assert any(len(u.symbols) > 1 for u, _ in pairs)
+    for u, c in pairs:
+        assert tame_residue(u, c) == reference_tame_residue(u, c), (u, c)
+
+
+def test_tame_residue_matches_reference_randomized(p2, F, Fb, xyz):
+    # slots include polynomials the factorizer rejects (the two cubics);
+    # symbol() reduces them by gcds alone.  Along the line at infinity the
+    # reference's a^n / b^m has degree about deg(a) * deg(b), and its gcds
+    # stall on the cubics there, so z only meets slots built from the
+    # first six pieces.
+    rng = random.Random(606)
+    x, y, z = xyz
+    pool = [x, y, Fb, x + 1, y - 2, x - y, x ** 3 + y ** 2 + 1, x * y ** 2 + x + 1]
+    divisors = [prime_divisor(p2, q) for q in (x, y, z, F, x + z, y - 2 * z, x - y)]
+    for _ in range(80):
+        c = rng.choice(divisors)
+        pieces = pool[:6] if c.poly == z else pool
+
+        def slot():
+            return RatFn(rng.choice(pieces) * x ** rng.randint(0, 1) * y ** rng.randint(0, 1),
+                         rng.choice(pool[3:6]) ** rng.randint(0, 1))
+        u = EMPTY_CLASS
+        for _ in range(rng.randint(1, 3)):
+            u = add_classes(u, symbol(slot(), slot()))
+        assert tame_residue(u, c) == reference_tame_residue(u, c), (u, c)
+
+
+def test_symbol_takes_square_class_slots(Fb, xyz):
+    from quadrica.funfield import square_class
+    x, y, _ = xyz
+    pieces = [x, y, Fb, x + 1, x * y - 1, 2 * x ** 2 * y]
+    for a in pieces:
+        for b in pieces:
+            assert symbol(square_class(a) * square_class(Fb), square_class(b)) == (
+                symbol(a * Fb, b))
+
+
+def test_tame_residue_restricts_no_quotient(p2, Fb, xyz, count_calls):
+    import quadrica.funfield as funfield
+    x, y, z = xyz
+    u = add_classes(symbol(x, y), symbol(x * y, Fb))
+    counts = count_calls(funfield, "restrict_unit", "valuation_along")
+    for q in (x, y, z):
+        tame_residue(u, prime_divisor(p2, q))
+    assert counts == {"restrict_unit": 0, "valuation_along": 0}

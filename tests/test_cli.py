@@ -164,6 +164,16 @@ def test_invariants_linear_entries(capsys):
     assert "discriminant: {x, y+1, y-1}" in out
 
 
+def test_invariants_factor_each_entry(capsys):
+    # the product of the entries has the degree-4 radical (x+1)(y+1)F, which
+    # the factorizer does not take; every entry alone factors
+    code, out, _ = run_cli(capsys, "invariants", "--surface", "p2", "--entries",
+                           "x+1;(x+1)*(y+1);y+1;x^2+y^2+1-2*(x*y+x+y)")
+    assert code == 0
+    assert "discriminant: {x^2-2*x*y+y^2-2*x-2*y+1}" in out
+    assert ("clifford: (x+1, x^2-2*x*y+y^2-2*x-2*y+1) + (y+1, x*y+x+y+1)\n") in out
+
+
 def test_invariants_conic_split_over_extension_exit_2(capsys):
     # x^2+y^2 is a pair of lines defined only over Q(i)
     code, _, err = run_cli(capsys, "invariants", "--surface", "p2",

@@ -16,6 +16,7 @@ from quadrica.funfield import (
     prime_divisor,
     restrict_unit,
     square_class,
+    unit_part,
     valuation_along,
 )
 from quadrica.poly import Poly, PolyError, RatFn, parse_poly
@@ -382,14 +383,12 @@ def reference_hensel_report(d, c):
 
 
 def units_met_while_certifying(monkeypatch):
-    """Every (unit, divisor) pair handed to the valuation, restriction and
-    Hensel tests by the verdicts of P^2 up to bound 8 and P^1 x P^1 up to
-    bound 3."""
+    """Every (function, divisor) pair handed to the unit-part and Hensel
+    tests by the verdicts of P^2 up to bound 8 and P^1 x P^1 up to bound 3."""
     import quadrica.brauer as brauer
     import quadrica.certify as certify
     met = {}
-    for space, name in ((brauer, "valuation_along"), (brauer, "restrict_unit"),
-                        (certify, "hensel_report")):
+    for space, name in ((brauer, "unit_part"), (certify, "hensel_report")):
         def record(f, c, _fn=getattr(space, name)):
             met[(RatFn(f) if isinstance(f, Poly) else f, c)] = None
             return _fn(f, c)
@@ -418,6 +417,8 @@ def test_grading_matches_two_branch_reference(monkeypatch):
         assert model_degree(s, pn) == model_degree(s, pd) is not None
         v, un, ud = reference_unit_part(f, c)
         assert valuation_along(f, c) == v
+        u = unit_part(f, c)
+        assert u.valuation == v and un * u.pair[1] == u.pair[0] * ud
         if v == 0:
             assert restrict_unit(f, c) == reference_on_curve(un, ud, c), (f, c)
         assert hensel_report(f, c) == reference_hensel_report(f, c), (f, c)

@@ -421,3 +421,50 @@ def test_exact_div_and_multiplicity(F, xyz):
     assert exact_div(F * x, x) == F
     assert exact_div(F, x) is None
     assert multiplicity(x ** 3 * F, x) == 3
+
+
+def _to_sympy(sympy, p, gens):
+    return sympy.Poly(sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
+                                  * sympy.Mul(*(g ** k for g, k in zip(gens, e)))
+                                  for e, c in p.terms())), *gens)
+
+
+def _primitive(q):
+    """q divided by its content, with a positive leading coefficient."""
+    q = q.primitive()[1]
+    return q if q.LC() > 0 else -q
+
+
+def test_factor_matches_sympy_oracle(F, hpoly):
+    # products of variables and of pieces whose radical stays within the
+    # supported class (degree <= 2 on P^2, bidegree <= (2,2) on P^1 x P^1)
+    sympy = pytest.importorskip("sympy")
+    from quadrica.funfield import square_class
+    rng = random.Random(2718)
+    surfaces = (
+        (P2_VARS, [(parse_poly(t, P2_VARS), (1,)) for t in ("x+y", "x-2*z", "3*x+y-z")]
+         + [(F, (2,))], (2,)),
+        (P1XP1_VARS, [(parse_poly(t, P1XP1_VARS), d) for t, d in (
+            ("x0+x1", (1, 0)), ("y0-2*y1", (0, 1)), ("x0*y1+x1*y0", (1, 1)),
+            ("x0*y0-3*x1*y1", (1, 1)))] + [(hpoly, (2, 2))], (2, 2)),
+    )
+    checked = 0
+    for variables, pieces, bound in surfaces:
+        gens = sympy.symbols(variables)
+        for _ in range(25):
+            chosen = rng.sample(pieces, rng.randint(0, 2))
+            if any(sum(col) > b for col, b in zip(zip(*(d for _, d in chosen)), bound)):
+                continue
+            p = Poly.const(variables, rng.choice((1, -2, 6)))
+            for v in variables:
+                p = p * Poly.var(variables, v) ** rng.randint(0, 3)
+            for q, _ in chosen:
+                p = p * q ** rng.randint(1, 3)
+            _, oracle = sympy.factor_list(_to_sympy(sympy, p, gens).as_expr(), *gens)
+            want = {(_primitive(sympy.Poly(q, *gens)), k) for q, k in oracle}
+            got = {(_primitive(_to_sympy(sympy, q, gens)), k) for q, k in factor(p).factors}
+            assert got == want, p
+            assert {_primitive(_to_sympy(sympy, q, gens)) for q in square_class(p).support} == {
+                q for q, k in want if k % 2}, p
+            checked += 1
+    assert checked >= 30

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from quadrica.brauer import add_classes, classes_equal, symbol
+from quadrica.brauer import EMPTY_CLASS, add_classes, classes_equal, symbol
 from quadrica.funfield import square_class
 from quadrica.poly import Poly, parse_poly
 from quadrica.quadform import (
@@ -76,11 +76,15 @@ def test_bundle_type_sorting_and_parity():
         BundleType.of("p2", (1, 2, 2, 2)).validate()
     with pytest.raises(QuadformError):
         BundleType.of("p2", (-2, 2, 2, 2)).validate()
-    # a component needs one degree per grading block of its surface
     from quadrica.certify import verdict_for
+    # a component needs one degree per grading block of its surface, and
+    # every degree is an int, not a float or a bool
     for kind, data in (("p1xp1", (1, 1, 1, 3)),
                        ("p2", ((1, 1), (1, 1), (1, 1), (3, 3))),
-                       ("p1xp1", ((1, 1, 1), (1, 1), (1, 1), (3, 3)))):
+                       ("p1xp1", ((1, 1, 1), (1, 1), (1, 1), (3, 3))),
+                       ("p2", (2.5, 2, 2, 2)),
+                       ("p2", (True, 2, 2, 2)),
+                       ("p1xp1", ((1.5, 1), (1, 1), (1, 1), (3, 3)))):
         with pytest.raises(QuadformError, match="one degree per block"):
             verdict_for(kind, data)
 
@@ -136,7 +140,7 @@ def test_clifford_invariant_hpt(p2, Fb, xyz):
 
 def test_clifford_split_form(p2):
     fib = make_affine_form((one(), one(), one(), one()), p2)
-    assert clifford_invariant(fib).is_formally_empty
+    assert clifford_invariant(fib) == EMPTY_CLASS
 
 
 def test_clifford_scale_law(p2, Fb, xyz):
@@ -148,6 +152,59 @@ def test_clifford_scale_law(p2, Fb, xyz):
     for lam in (x, y, x * y, Fb, x * y ** 2):
         scaled = clifford_invariant(apply_move(fib, Scale(lam)))
         assert classes_equal(add_classes(scaled, base), symbol(lam, d_rep), p2)
+
+
+def reference_discriminant(f):
+    """The discriminant's representative as the gcd-based square-class
+    part of the expanded product."""
+    from quadrica.poly import square_class_part
+    e0, e1, e2, e3 = generic_fiber(f).entries
+    return square_class_part(e0 * e1 * e2 * e3)
+
+
+def reference_clifford_invariant(f):
+    """The Clifford invariant from gcd-based square-class parts of products
+    of the entries."""
+    from quadrica.poly import square_class_part
+    e0, e1, e2, e3 = generic_fiber(f).entries
+    a = square_class_part(e0 * e1)
+    b = square_class_part(e0 * e2)
+    d = square_class_part(e0 * e1 * e2 * e3)
+    assert square_class_part(a * b * d) == square_class_part(e0 * e3)
+    return add_classes(symbol(a, b), symbol(square_class_part(a * b), d))
+
+
+def random_fibers(rng, s, n):
+    """Affine forms whose entries are a constant times a chart monomial
+    times a power of the chart quadric, a line or a product of two lines
+    (radicals the factorizer supports)."""
+    u, v = (Poly.var(s.variables, name) for name in s.chart_vars)
+    pieces = [chart_quadric(s), u + 1, v - 2, u - v, (u + 1) * (v - 2)]
+    for _ in range(n):
+        yield make_affine_form(
+            [rng.choice((1, -2, 3)) * u ** rng.randint(0, 2) * v ** rng.randint(0, 2)
+             * rng.choice(pieces) ** rng.randint(0, 2) for _ in range(4)], s)
+
+
+def test_invariants_match_reference_products(p2, p1xp1, Fb, xyz):
+    rng = random.Random(31)
+    fibers = (certified_fibers("p2", 8) + certified_fibers("p1xp1", 3)
+              + list(move_closure_forms(p2, Fb, xyz))
+              + list(random_fibers(rng, p2, 12)) + list(random_fibers(rng, p1xp1, 12)))
+    for form in fibers:
+        assert discriminant(form).representative() == reference_discriminant(form), form
+        assert clifford_invariant(form) == reference_clifford_invariant(form), form
+
+
+def test_invariants_run_no_gcd_square_class(p2, p1xp1, count_calls):
+    import quadrica.poly as poly
+    forms = certified_fibers("p2", 4) + list(random_fibers(random.Random(8), p1xp1, 5))
+    assert len(forms) > 5
+    counts = count_calls(poly, "square_class_part")
+    for form in forms:
+        discriminant(form)
+        clifford_invariant(form)
+    assert counts == {"square_class_part": 0}
 
 
 def test_moves(p2, Fb, xyz):
