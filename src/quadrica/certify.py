@@ -238,20 +238,36 @@ def _rule_form(t: BundleType, rule: str) -> DiagForm:
     return make_diag_form(entries, s)
 
 
+def _case_tables_apply(t: BundleType) -> bool:
+    """P^1 x P^1 types with d3, e3 >= 3; the rest have only Q1 and Q2."""
+    d, e = t.ds(), t.es()
+    return d[3] >= 3 and e[3] >= 3
+
+
+def select_rule(t: BundleType) -> str:
+    """The one rule a certificate of type t is built with: hpt-direct or
+    q1-q3 on P^2; on P^1 x P^1 a case table A1-C2 (family by which of e1,
+    e0 is positive, number by the parities of d0, e0) or else Q1/Q2.
+    Raises ConstructionError when t lies in no certifiable branch."""
+    d = t.ds()
+    if t.surface_kind == "p2":
+        if d == (2, 2, 2, 2):
+            return "hpt-direct"
+        if sum(d) >= 8 and d[1] >= 1 and d[3] >= 3:
+            return "q2" if d[0] % 2 == 0 else "q1" if d[2] >= 3 else "q3"
+    elif _case_tables_apply(t):
+        e = t.es()
+        family = "A" if e[1] >= 1 else "B" if e[0] >= 1 else "C"
+        return f"{family}{1 + d[0] % 2 + 2 * (e[0] % 2)}"
+    elif (rule := cor53_rule(t)) is not None:
+        return rule
+    raise ConstructionError(f"type {t} is not in a certifiable branch")
+
+
 def construct_degeneration_p2(t: BundleType) -> tuple[DiagForm, str]:
     """The explicit weak-bundle degeneration for a certifiable type."""
     t.validate()
-    d0, d1, d2, d3 = t.ds()
-    if (d0, d1, d2, d3) == (2, 2, 2, 2):
-        rule = "hpt-direct"
-    elif sum(t.ds()) < 8 or d1 < 1 or d3 < 3:
-        raise ConstructionError(f"type {t} is not in a certifiable branch")
-    elif d0 % 2 == 0:
-        rule = "q2"
-    elif d2 >= 3:
-        rule = "q1"
-    else:
-        rule = "q3"
+    rule = select_rule(t)
     return _rule_form(t, rule), rule
 
 
@@ -277,18 +293,6 @@ def verdict_p2(data) -> Verdict:
 # ---------------------------------------------- degenerations over P^1 x P^1
 
 
-def select_rule_p1xp1(t: BundleType) -> str:
-    """Case dispatch in the not-stably-rational branch (d3, e3 >= 3)."""
-    d = t.ds()
-    e = t.es()
-    if e[1] >= 1:
-        sub = {(0, 0): "A1", (1, 0): "A2", (0, 1): "A3", (1, 1): "A4"}
-        return sub[(d[0] % 2, e[0] % 2)]
-    if e[0] >= 1:
-        return "B1" if d[0] % 2 == 0 else "B2"
-    return "C1" if d[0] % 2 == 0 else "C2"
-
-
 def construct_degeneration_p1xp1(t: BundleType, rule: str) -> DiagForm:
     """The explicit degeneration for the selected rule."""
     t.validate()
@@ -300,23 +304,14 @@ def construct_degeneration_p1xp1(t: BundleType, rule: str) -> DiagForm:
     return form
 
 
-def cond_cor53_q1(t: BundleType) -> bool:
-    d, e = t.ds(), t.es()
-    return d[1] >= 1 and d[3] >= 2 and e[1] + e[2] >= 1 and e[3] >= 3
-
-
-def cond_cor53_q2(t: BundleType) -> bool:
-    d, e = t.ds(), t.es()
-    return (d[1] >= 1 and d[3] >= 2 and e[0] >= 1
-            and e[1] + e[2] >= 1 and e[2] >= 2)
-
-
 def cor53_rule(t: BundleType) -> str | None:
-    if cond_cor53_q1(t):
+    """The low-degree route Q1 or Q2 whose hypotheses t meets, if any."""
+    d, e = t.ds(), t.es()
+    if d[1] < 1 or d[3] < 2 or e[1] + e[2] < 1:
+        return None
+    if e[3] >= 3:
         return "Q1"
-    if cond_cor53_q2(t):
-        return "Q2"
-    return None
+    return "Q2" if e[0] >= 1 and e[2] >= 2 else None
 
 
 # Rule -> the starting entries as (x1 exponent, y1 exponent, power of h);
@@ -379,7 +374,8 @@ def verdict_p1xp1(data) -> Verdict:
     if t.reordered:
         notes.append("input reordered to the lexicographic form")
     d, e = t.ds(), t.es()
-    if d[3] >= 3 and e[3] >= 3:
+    alt = cor53_rule(t)
+    if _case_tables_apply(t):
         if d[2] == 0:
             return Verdict(RATIONAL, "section-conic-bundle-first-factor", t,
                            notes=tuple(notes))
@@ -388,18 +384,12 @@ def verdict_p1xp1(data) -> Verdict:
         if e[0] == 0 and e[1] == 0 and e[2] == 0:
             return Verdict(RATIONAL, "section-conic-bundle-second-factor", t,
                            notes=tuple(notes))
-        rule = select_rule_p1xp1(t)
-        alt = cor53_rule(t)
         if alt is not None:
             notes.append(f"also certifiable via the low-degree route {alt}")
-        cert = build_certificate(t, rule=rule)
-        return Verdict(NOT_STABLY_RATIONAL, f"degeneration-{cert.rule}", t,
-                       certificate=cert, notes=tuple(notes))
-    rule = cor53_rule(t)
-    if rule is None:
+    elif alt is None:
         return Verdict(UNKNOWN, "outside-corollary-hypotheses", t, notes=tuple(notes))
     try:
-        cert = build_certificate(t, rule=rule)
+        cert = build_certificate(t)
     except ConstructionError as exc:
         notes.append(str(exc))
         return Verdict(UNKNOWN, "degeneration-unconstructible", t, notes=tuple(notes))
@@ -418,22 +408,19 @@ def verdict_for(surface_kind: str, data) -> Verdict:
 # --------------------------------------------------------- certificate build
 
 
-def build_certificate(t: BundleType, rule: str | None = None) -> Certificate:
+def _degeneration(t: BundleType) -> tuple[DiagForm, str]:
+    """The degeneration of type t under its selected rule, and the rule."""
+    if t.surface_kind == "p2":
+        return construct_degeneration_p2(t)
+    rule = select_rule(t)
+    return construct_degeneration_p1xp1(t, rule), rule
+
+
+def build_certificate(t: BundleType) -> Certificate:
     """Run the full certification chain; any failed link raises with the
     link named."""
     t.validate()
-    if t.surface_kind == "p2":
-        form, rule = construct_degeneration_p2(t)
-    else:
-        if rule is None:
-            d, e = t.ds(), t.es()
-            if d[3] >= 3 and e[3] >= 3:
-                rule = select_rule_p1xp1(t)
-            else:
-                rule = cor53_rule(t)
-                if rule is None:
-                    raise ConstructionError(f"type {t} is not in a certifiable branch")
-        form = construct_degeneration_p1xp1(t, rule)
+    form, rule = _degeneration(t)
     return _certify(t, rule, form, normalize_to_hpt)
 
 
@@ -505,22 +492,17 @@ def _certify(t: BundleType, rule: str, form: DiagForm,
 
 
 def replay_certificate(cert: Certificate) -> bool:
-    """Rebuild the degeneration from the stored type and rule, then rerun
-    the build chain on it with the stored similarity witness; the
-    certificate holds iff the constructor returns the stored degeneration
-    (and, on P^2, its own rule), every link passes, and the result equals
-    the stored certificate field by field."""
+    """Rebuild the degeneration from the stored type, then rerun the build
+    chain on it with the stored similarity witness; the certificate holds
+    iff the stored rule and degeneration are the ones `select_rule` and
+    the constructor give, every link passes, and the result equals the
+    stored certificate field by field."""
     t = cert.input_type
     try:
-        if t.surface_kind == "p2":
-            form, rule = construct_degeneration_p2(t)
-            if rule != cert.rule:
-                return False
-        else:
-            form = construct_degeneration_p1xp1(t, cert.rule)
-        if form != cert.degeneration:
+        form, rule = _degeneration(t)
+        if (form, rule) != (cert.degeneration, cert.rule):
             return False
-        fresh = _certify(t, cert.rule, form, lambda fiber: cert.similarity)
+        fresh = _certify(t, rule, form, lambda fiber: cert.similarity)
     except (CertifyError, QuadformError):
         return False
     return fresh == cert
@@ -610,24 +592,15 @@ def verdict_json(v: Verdict) -> dict:
 # -------------------------------------------------------------- enumeration
 
 
-def enumerate_types_p2(bound: int) -> list[tuple[int, int, int, int]]:
-    """All lexicographic equal-parity types with coordinates <= bound."""
-    from itertools import combinations_with_replacement
+def enumerate_types(surface_kind: str, bound: int) -> list[tuple]:
+    """All lexicographically ordered parity-valid types with every degree
+    <= bound: for each vector of per-block parities, the 4-multisets of
+    components with those parities.  A P^2 component is a bare int."""
+    from itertools import combinations_with_replacement, product
+    n = len(surface(surface_kind).blocks)
     out = []
-    for parity in (0, 1):
-        vals = range(parity, bound + 1, 2)
-        out.extend(combinations_with_replacement(vals, 4))
-    return sorted(out)
-
-
-def enumerate_types_p1xp1(bound: int) -> list[tuple[tuple[int, int], ...]]:
-    """All lexicographically ordered parity-valid types with all
-    coordinates <= bound."""
-    from itertools import combinations_with_replacement
-    out = []
-    for pd in (0, 1):
-        for pe in (0, 1):
-            pairs = [(d, e) for d in range(pd, bound + 1, 2)
-                     for e in range(pe, bound + 1, 2)]
-            out.extend(combinations_with_replacement(pairs, 4))
+    for parities in product((0, 1), repeat=n):
+        ranges = (range(p, bound + 1, 2) for p in parities)
+        comps = [c if n > 1 else c[0] for c in product(*ranges)]
+        out.extend(combinations_with_replacement(comps, 4))
     return sorted(out)

@@ -16,8 +16,7 @@ from .brauer import BrauerClass, EMPTY_CLASS, add_classes, residue_profile, symb
 from .certify import (
     UNKNOWN,
     certificate_digest,
-    enumerate_types_p1xp1,
-    enumerate_types_p2,
+    enumerate_types,
     verdict_for,
     verdict_json,
 )
@@ -40,17 +39,18 @@ class InputError(Exception):
 
 
 def parse_type_string(surface_kind: str, text: str):
+    n = len(surface(surface_kind).blocks)
     try:
         parts = [p.strip() for p in text.split(",")]
         if len(parts) != 4:
             raise ValueError("expected 4 comma-separated components")
-        if surface_kind == "p2":
-            return tuple(int(p) for p in parts)
-        pairs = []
+        comps = []
         for p in parts:
-            a, b = p.split(":")
-            pairs.append((int(a), int(b)))
-        return tuple(pairs)
+            degs = tuple(int(d) for d in p.split(":"))
+            if len(degs) != n:
+                raise ValueError(f"component {p!r} needs {n} ':'-separated degree(s)")
+            comps.append(degs if n > 1 else degs[0])
+        return tuple(comps)
     except ValueError as exc:
         raise InputError(f"bad type string {text!r}: {exc}") from exc
 
@@ -162,38 +162,35 @@ def cmd_certify(args) -> int:
     return 3 if v.outcome == UNKNOWN else 0
 
 
-def _table_row(job) -> tuple[str, str]:
+def _table_row(job) -> str:
     surface_kind, data, fmt = job
     v = verdict_for(surface_kind, data)
     digest = "" if v.certificate is None else certificate_digest(v.certificate)
-    key = str(v.bundle_type)
     if fmt == "json":
-        row = json.dumps({
-            "type": key,
+        return json.dumps({
+            "type": str(v.bundle_type),
             "outcome": v.outcome,
             "reason": v.reason,
             "digest": digest,
         }, sort_keys=True)
-    else:
-        row = f"{key}\t{v.outcome}\t{v.reason}\t{digest}"
-    return key, row
+    return f"{v.bundle_type}\t{v.outcome}\t{v.reason}\t{digest}"
 
 
 def cmd_table(args) -> int:
     if args.bound < 0 or args.bound > TABLE_BOUND_LIMIT:
         print(f"error: bound must lie in 0..{TABLE_BOUND_LIMIT}", file=sys.stderr)
         return 2
-    types = (enumerate_types_p2(args.bound) if args.surface == "p2"
-             else enumerate_types_p1xp1(args.bound))
-    jobs = [(args.surface, data, args.output) for data in types]
+    jobs = [(args.surface, data, args.output)
+            for data in enumerate_types(args.surface, args.bound)]
     workers = min(args.jobs, _usable_cpus())
+    # rows come back in enumeration order, which is already canonical
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_table_row, jobs, chunksize=8))
+            for row in pool.map(_table_row, jobs, chunksize=8):
+                print(row)
     else:
-        rows = [_table_row(j) for j in jobs]
-    for _, row in rows:   # enumeration order is already canonical
-        print(row)
+        for row in map(_table_row, jobs):
+            print(row)
     return 0
 
 

@@ -601,7 +601,7 @@ def _gcd2(a: Poly, b: Poly) -> Poly:
         if max(e[vi] for e in r._terms) == 0:
             g = Poly.const(a.variables, 1)
             break
-        pa, pb = pb, exact_div(r, _content_in(r, vi))
+        pa, pb = pb, normalize(exact_div(r, _content_in(r, vi)))
     return normalize(cg * g)
 
 

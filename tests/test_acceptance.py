@@ -22,10 +22,9 @@ from quadrica.certify import (
     OPEN,
     RATIONAL,
     construct_degeneration_p1xp1,
-    enumerate_types_p1xp1,
-    enumerate_types_p2,
+    enumerate_types,
     replay_certificate,
-    select_rule_p1xp1,
+    select_rule,
     verdict_p1xp1,
     verdict_p2,
 )
@@ -92,7 +91,7 @@ def test_acceptance_1_hpt_certification(capsys):
 def test_acceptance_2_p2_sweep(capsys):
     t0 = time.perf_counter()
     mismatches = []
-    for t in enumerate_types_p2(8):
+    for t in enumerate_types("p2", 8):
         v = verdict_p2(t)
         if sum(t) <= 4 or (t[0] == 0 and t[1] == 0):
             want = RATIONAL
@@ -117,7 +116,7 @@ def test_acceptance_3_p1xp1_sweep(capsys):
     t0 = time.perf_counter()
     mismatches = []
     count = 0
-    for data in enumerate_types_p1xp1(5):
+    for data in enumerate_types("p1xp1", 5):
         if data[3][0] < 3 or data[3][1] < 3:
             continue
         count += 1
@@ -151,7 +150,7 @@ def test_acceptance_4_constructor_soundness(capsys):
     t0 = time.perf_counter()
     # the selected case table never produces a negative exponent
     checked = 0
-    for data in enumerate_types_p1xp1(5):
+    for data in enumerate_types("p1xp1", 5):
         if data[3][0] < 3 or data[3][1] < 3:
             continue
         d = [p[0] for p in data]
@@ -163,12 +162,12 @@ def test_acceptance_4_constructor_soundness(capsys):
             continue
         from quadrica.quadform import BundleType
         t = BundleType.of("p1xp1", data)
-        rule = select_rule_p1xp1(t)
+        rule = select_rule(t)
         form = construct_degeneration_p1xp1(t, rule)  # raises on any negative exponent
         assert is_weak_bundle(form)
         checked += 1
     # the q3 branch precondition: d0 odd with d2 = 1 forces d3 >= 5
-    for t in enumerate_types_p2(12):
+    for t in enumerate_types("p2", 12):
         if sum(t) >= 8 and t[1] >= 1 and t[0] % 2 == 1 and t[2] == 1:
             assert t[3] - 4 >= 1, f"exponent safety violated at {t}"
     elapsed = time.perf_counter() - t0

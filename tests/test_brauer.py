@@ -224,9 +224,9 @@ def residues_met_while_certifying(monkeypatch):
         met[(u, c)] = None
         return _fn(u, c)
     monkeypatch.setattr(brauer, "tame_residue", record)
-    for data in certify.enumerate_types_p2(8):
+    for data in certify.enumerate_types("p2", 8):
         certify.verdict_for("p2", data)
-    for data in certify.enumerate_types_p1xp1(3):
+    for data in certify.enumerate_types("p1xp1", 3):
         certify.verdict_for("p1xp1", data)
     monkeypatch.undo()
     return list(met)

@@ -17,16 +17,13 @@ from quadrica.certify import (
     build_certificate,
     certificate_digest,
     certificate_json,
-    cond_cor53_q1,
-    cond_cor53_q2,
     construct_degeneration_p1xp1,
     construct_degeneration_p2,
     cor53_rule,
-    enumerate_types_p1xp1,
-    enumerate_types_p2,
+    enumerate_types,
     pirutka_check,
     replay_certificate,
-    select_rule_p1xp1,
+    select_rule,
     verdict_for,
     verdict_p1xp1,
     verdict_p2,
@@ -310,14 +307,14 @@ def test_verdict_p1xp1_rational_conditions():
 
 def test_select_rule_dispatch():
     mk = lambda data: BundleType.of("p1xp1", data)  # noqa: E731
-    assert select_rule_p1xp1(mk(((0, 0), (2, 2), (2, 2), (4, 4)))) == "A1"
-    assert select_rule_p1xp1(mk(((1, 0), (1, 2), (1, 2), (3, 4)))) == "A2"
-    assert select_rule_p1xp1(mk(((0, 1), (2, 1), (2, 1), (4, 3)))) == "A3"
-    assert select_rule_p1xp1(mk(((1, 1), (1, 1), (1, 1), (3, 3)))) == "A4"
-    assert select_rule_p1xp1(mk(((0, 2), (2, 0), (2, 2), (4, 4)))) == "B1"
-    assert select_rule_p1xp1(mk(((1, 2), (3, 0), (3, 2), (3, 4)))) == "B2"
-    assert select_rule_p1xp1(mk(((0, 0), (2, 0), (2, 2), (4, 4)))) == "C1"
-    assert select_rule_p1xp1(mk(((1, 0), (1, 0), (1, 2), (3, 4)))) == "C2"
+    assert select_rule(mk(((0, 0), (2, 2), (2, 2), (4, 4)))) == "A1"
+    assert select_rule(mk(((1, 0), (1, 2), (1, 2), (3, 4)))) == "A2"
+    assert select_rule(mk(((0, 1), (2, 1), (2, 1), (4, 3)))) == "A3"
+    assert select_rule(mk(((1, 1), (1, 1), (1, 1), (3, 3)))) == "A4"
+    assert select_rule(mk(((0, 2), (2, 0), (2, 2), (4, 4)))) == "B1"
+    assert select_rule(mk(((1, 2), (3, 0), (3, 2), (3, 4)))) == "B2"
+    assert select_rule(mk(((0, 0), (2, 0), (2, 2), (4, 4)))) == "C1"
+    assert select_rule(mk(((1, 0), (1, 0), (1, 2), (3, 4)))) == "C2"
 
 
 def test_construct_b1_example(p1xp1, hpoly, x4):
@@ -339,10 +336,10 @@ def test_construct_a4_example(p1xp1, hpoly, x4):
 
 def test_cor53_conditions():
     mk = lambda data: BundleType.of("p1xp1", data)  # noqa: E731
-    assert cond_cor53_q1(mk(((0, 0), (2, 0), (2, 2), (2, 4))))
-    assert not cond_cor53_q1(mk(((0, 0), (0, 0), (2, 0), (2, 4))))  # d1 = 0
-    assert cond_cor53_q2(mk(((0, 2), (2, 2), (2, 4), (4, 2))))
-    assert not cond_cor53_q2(mk(((0, 0), (2, 0), (2, 2), (2, 2))))  # e0 = 0
+    assert cor53_rule(mk(((0, 0), (2, 0), (2, 2), (2, 4)))) == "Q1"
+    assert cor53_rule(mk(((0, 0), (0, 0), (2, 0), (2, 4)))) != "Q1"  # d1 = 0
+    assert cor53_rule(mk(((0, 2), (2, 2), (2, 4), (4, 2)))) == "Q2"
+    assert cor53_rule(mk(((0, 0), (2, 0), (2, 2), (2, 2)))) != "Q2"  # e0 = 0
 
 
 def test_cor53_certificates():
@@ -396,7 +393,7 @@ def reference_cor53_form(t, rule):
 
 def test_cor53_matches_reference_search():
     seen = 0
-    for data in enumerate_types_p1xp1(4):
+    for data in enumerate_types("p1xp1", 4):
         t = BundleType.of("p1xp1", data)
         d, e = t.ds(), t.es()
         rule = cor53_rule(t)
@@ -443,7 +440,7 @@ def test_p1xp1_prefers_main_corollary_and_records_alternative():
 def test_p2_dispatch_completeness_bound_12():
     # with sum >= 8 and d1 >= 1, the only equal-parity sorted type with
     # d3 < 3 is (2,2,2,2)
-    for t in enumerate_types_p2(12):
+    for t in enumerate_types("p2", 12):
         if sum(t) >= 8 and t[1] >= 1 and t[3] < 3:
             assert t == (2, 2, 2, 2)
 
@@ -474,7 +471,7 @@ def reference_construct_degeneration_p2(t):
 
 def test_p2_rules_match_reference_chain():
     raised = 0
-    for data in enumerate_types_p2(20):
+    for data in enumerate_types("p2", 20):
         t = BundleType.of("p2", data)
         try:
             want = reference_construct_degeneration_p2(t)
@@ -484,7 +481,7 @@ def test_p2_rules_match_reference_chain():
                 construct_degeneration_p2(t)
             continue
         assert construct_degeneration_p2(t) == want, t
-    assert 0 < raised < len(enumerate_types_p2(20))
+    assert 0 < raised < len(enumerate_types("p2", 20))
 
 
 # The P^1 x P^1 case tables before the rule table: the first three entries
@@ -527,7 +524,7 @@ def reference_construct_rule_p1xp1(t, rule):
 
 def test_p1xp1_rules_match_reference_table():
     built = raised = 0
-    for data in enumerate_types_p1xp1(4):
+    for data in enumerate_types("p1xp1", 4):
         t = BundleType.of("p1xp1", data)
         for rule in REFERENCE_P1XP1_RULES:
             try:
@@ -544,13 +541,13 @@ def test_p1xp1_rules_match_reference_table():
 
 def test_exponent_safety_q3_branch():
     # on the d0-odd, d2 = 1 branch, d3 >= 5 always
-    for t in enumerate_types_p2(12):
+    for t in enumerate_types("p2", 12):
         if sum(t) >= 8 and t[1] >= 1 and t[0] % 2 == 1 and t[2] == 1:
             assert t[3] - 4 >= 1
 
 
 def test_constructor_soundness_small_sweep():
-    for t in enumerate_types_p2(6):
+    for t in enumerate_types("p2", 6):
         v = verdict_p2(t)
         if v.outcome != NOT_STABLY_RATIONAL:
             continue
@@ -571,10 +568,70 @@ def test_branch_exclusivity_and_determinism():
 
 
 def test_enumerations():
-    assert len(enumerate_types_p2(0)) == 1
-    assert enumerate_types_p2(0) == [(0, 0, 0, 0)]
-    assert len(enumerate_types_p2(6)) == 50
-    small = enumerate_types_p1xp1(1)
+    assert len(enumerate_types("p2", 0)) == 1
+    assert enumerate_types("p2", 0) == [(0, 0, 0, 0)]
+    assert len(enumerate_types("p2", 6)) == 50
+    small = enumerate_types("p1xp1", 1)
     assert ((0, 0), (0, 0), (0, 0), (0, 0)) in small
     assert ((1, 1), (1, 1), (1, 1), (1, 1)) in small
     assert all(list(t) == sorted(t) for t in small)
+
+
+def reference_enumerate_types_p2(bound):
+    """The P^2 enumerator before `enumerate_types`."""
+    from itertools import combinations_with_replacement
+    out = []
+    for parity in (0, 1):
+        vals = range(parity, bound + 1, 2)
+        out.extend(combinations_with_replacement(vals, 4))
+    return sorted(out)
+
+
+def reference_enumerate_types_p1xp1(bound):
+    """The P^1 x P^1 enumerator before `enumerate_types`."""
+    from itertools import combinations_with_replacement
+    out = []
+    for pd in (0, 1):
+        for pe in (0, 1):
+            pairs = [(d, e) for d in range(pd, bound + 1, 2)
+                     for e in range(pe, bound + 1, 2)]
+            out.extend(combinations_with_replacement(pairs, 4))
+    return sorted(out)
+
+
+def test_enumerate_types_matches_reference():
+    for bound in range(9):
+        assert enumerate_types("p2", bound) == reference_enumerate_types_p2(bound)
+        assert enumerate_types("p1xp1", bound) == reference_enumerate_types_p1xp1(bound)
+
+
+def reference_select_rule_p1xp1(t):
+    """The case dispatch and the Q1/Q2 hypotheses before `select_rule`;
+    None outside every certifiable branch."""
+    d, e = t.ds(), t.es()
+    if d[3] >= 3 and e[3] >= 3:
+        if e[1] >= 1:
+            sub = {(0, 0): "A1", (1, 0): "A2", (0, 1): "A3", (1, 1): "A4"}
+            return sub[(d[0] % 2, e[0] % 2)]
+        if e[0] >= 1:
+            return "B1" if d[0] % 2 == 0 else "B2"
+        return "C1" if d[0] % 2 == 0 else "C2"
+    if d[1] >= 1 and d[3] >= 2 and e[1] + e[2] >= 1 and e[3] >= 3:
+        return "Q1"
+    if d[1] >= 1 and d[3] >= 2 and e[0] >= 1 and e[1] + e[2] >= 1 and e[2] >= 2:
+        return "Q2"
+    return None
+
+
+def test_select_rule_matches_reference_dispatch():
+    seen = set()
+    for data in enumerate_types("p1xp1", 6):
+        t = BundleType.of("p1xp1", data)
+        want = reference_select_rule_p1xp1(t)
+        if want is None:
+            with pytest.raises(ConstructionError):
+                select_rule(t)
+            continue
+        assert select_rule(t) == want, t
+        seen.add(want)
+    assert seen == {"A1", "A2", "A3", "A4", "B1", "B2", "C1", "C2", "Q1", "Q2"}

@@ -229,11 +229,29 @@ def test_table_rows_match_frozen_reference(surface_kind, name, bound):
     # reason or digest shows here, not only in the benchmark
     from pathlib import Path
 
-    from quadrica.certify import enumerate_types_p1xp1, enumerate_types_p2
+    from quadrica.certify import enumerate_types
     from quadrica.cli import _table_row
+    from quadrica.quadform import BundleType
     path = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / name
     want = {row.split("\t")[0]: row for row in path.read_text().splitlines()}
-    types = enumerate_types_p2(bound) if surface_kind == "p2" else enumerate_types_p1xp1(bound)
-    for data in types:
-        key, row = _table_row((surface_kind, data, "text"))
-        assert row == want[key]
+    for data in enumerate_types(surface_kind, bound):
+        row = _table_row((surface_kind, data, "text"))
+        assert row == want[str(BundleType.of(surface_kind, data))]
+
+
+def test_table_prints_each_row_as_it_is_produced(capsys, monkeypatch):
+    import quadrica.cli as cli
+    table_row = cli._table_row
+    done = []
+
+    def stop_after_two(job):
+        if len(done) == 2:
+            raise RuntimeError("stopped")
+        done.append(job)
+        return table_row(job)
+
+    monkeypatch.setattr(cli, "_table_row", stop_after_two)
+    with pytest.raises(RuntimeError):
+        main(["table", "--surface", "p2", "--bound", "2"])
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split("\t")[0] for row in rows] == ["0,0,0,0", "0,0,0,2"]

@@ -393,9 +393,9 @@ def units_met_while_certifying(monkeypatch):
             met[(RatFn(f) if isinstance(f, Poly) else f, c)] = None
             return _fn(f, c)
         monkeypatch.setattr(space, name, record)
-    for data in certify.enumerate_types_p2(8):
+    for data in certify.enumerate_types("p2", 8):
         certify.verdict_for("p2", data)
-    for data in certify.enumerate_types_p1xp1(3):
+    for data in certify.enumerate_types("p1xp1", 3):
         certify.verdict_for("p1xp1", data)
     return list(met)
 

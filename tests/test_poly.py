@@ -468,3 +468,48 @@ def test_factor_matches_sympy_oracle(F, hpoly):
                 q for q, k in want if k % 2}, p
             checked += 1
     assert checked >= 30
+
+
+def test_gcd_remainders_stay_primitive(Fb):
+    # each pseudo-remainder of the gcd is made primitive over Q; when its
+    # integer content was kept, these two inputs took 25 s and 6 s
+    import time
+    from quadrica.brauer import add_classes, symbol, tame_residue
+    from quadrica.funfield import prime_divisor, surface
+    p = parse_poly("(x^3+y^2+1)*(x-y)", P2_VARS) * Fb
+    t0 = time.perf_counter()
+    assert square_free_part(p) == normalize(p)
+    assert time.perf_counter() - t0 < 2.0
+    a1, b1, a2, b2 = (parse_poly(t, P2_VARS) for t in (
+        "x*y", "x^5+x^4+x^2*y^2+x*y^2+x^2+x",
+        "x^5*y^2+x^2*y^4+x^5+x^4+2*x^2*y^2+x*y^2+x^2+x",
+        "x^3-2*x^2*y+x*y^2-x^2-4*x*y+y^2-x-2*y+1"))
+    along_F = prime_divisor(surface("p2"), parse_poly(F_TEXT, P2_VARS))
+    t0 = time.perf_counter()
+    res = tame_residue(add_classes(symbol(a1, b1), symbol(a2, b2)), along_F)
+    assert time.perf_counter() - t0 < 2.0
+    assert str(res) == ("5589*t^12+1260*t^11+3894*t^10+1620*t^9+2135*t^8+1144*t^7"
+                        "+612*t^6+104*t^5+51*t^4-36*t^3+6*t^2+4*t+1")
+
+
+def test_gcd_and_square_free_part_match_sympy_oracle(Fb):
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols(P2_VARS)
+    pieces = [parse_poly(t, P2_VARS) for t in (
+        "x", "y", "x-y", "x+y+1", "x^3+y^2+1",
+        "x^3-2*x^2*y+x*y^2-x^2-4*x*y+y^2-x-2*y+1")] + [Fb]
+    rng = random.Random(1618)
+
+    def product():
+        p = Poly.const(P2_VARS, rng.choice((1, -3, 4)))
+        for q in rng.sample(pieces, rng.randint(1, 3)):
+            p = p * q ** rng.randint(1, 2)
+        return p
+
+    for _ in range(30):
+        a, b = product(), product()
+        sa, sb = (_to_sympy(sympy, q, gens) for q in (a, b))
+        assert _primitive(_to_sympy(sympy, poly_gcd(a, b), gens)) == _primitive(
+            sympy.gcd(sa, sb)), (a, b)
+        assert _primitive(_to_sympy(sympy, square_free_part(a), gens)) == _primitive(
+            sympy.sqf_part(sa)), a
