@@ -11,6 +11,11 @@ restriction is u^n / w^m, and restriction is a ring homomorphism, so the
 residue is the class of u restricted when n is odd times that of w when
 m is odd (the degree paddings of u and w cancel in the product).
 
+Residue profiles are products of pair profiles: a symbol is bilinear and
+constants are squares over C, so a class is a mod-2 sum of symbols (p, q)
+of distinct chart primes, and the profile of each pair is computed once,
+by tame_residue, and memoized per surface.
+
 Equality of classes is decided by total residue triviality on the fixed
 rational model: the unramified 2-torsion Brauer group of P^2 and of
 P^1 x P^1 vanishes, so a class with empty residue profile is zero.  The
@@ -21,6 +26,7 @@ two surfaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .funfield import (
     CurveClass,
@@ -115,27 +121,47 @@ class ResidueProfile:
         return "; ".join(f"{d}: {r}" for d, r in self.entries)
 
 
-def candidate_divisors(u: BrauerClass, s: SurfaceModel) -> tuple[PrimeDivisor, ...]:
-    """Factors of all symbol entries, homogenized, plus the coordinate
-    divisors of the model (residues vanish along everything else)."""
-    divs = set(coordinate_divisors(s))
+def _primes(slot: Poly, s: SurfaceModel) -> tuple[Poly, ...]:
+    """The chart primes of odd exponent in a symbol slot; constants are
+    squares over C and drop out."""
+    require_chart(s, slot)
+    return tuple(q for q, e in factor(slot).factors if e % 2)
+
+
+def _pairs(u: BrauerClass, s: SurfaceModel) -> list[tuple[Poly, Poly]]:
+    """The unordered pairs {p, q} of distinct chart primes whose symbols
+    (p, q) sum to u: (a, b) is the sum of (p, q) over the primes p of a and
+    q of b, (q, p) = (p, q), and (p, p) = (p, -1) is trivial over C."""
+    odd: set[tuple[Poly, Poly]] = set()
     for a, b in u.symbols:
-        for slot in (a, b):
-            require_chart(s, slot)
-            if slot.is_constant():
-                continue
-            for q, _ in factor(slot).factors:
-                divs.add(prime_divisor(s, homogenize(s, q)))
-    return tuple(sorted(divs, key=str))
+        qs = _primes(b, s)
+        for p in _primes(a, s):
+            for q in qs:
+                if p != q:
+                    odd ^= {(p, q) if str(p) < str(q) else (q, p)}
+    return sorted(odd, key=lambda pq: (str(pq[0]), str(pq[1])))
+
+
+@lru_cache(maxsize=None)
+def _pair_profile(p: Poly, q: Poly, s: SurfaceModel) -> ResidueProfile:
+    """Residues of the symbol (p, q) of two chart primes along the
+    coordinate divisors and the divisors of p and q; it is unramified
+    everywhere else."""
+    u = symbol(p, q)
+    divs = {*coordinate_divisors(s), *(prime_divisor(s, homogenize(s, r)) for r in (p, q))}
+    entries = ((c, tame_residue(u, c)) for c in sorted(divs, key=str))
+    return ResidueProfile(tuple((c, r) for c, r in entries if not r.is_trivial))
 
 
 def residue_profile(u: BrauerClass, s: SurfaceModel) -> ResidueProfile:
-    entries = []
-    for c in candidate_divisors(u, s):
-        r = tame_residue(u, c)
-        if not r.is_trivial:
-            entries.append((c, r))
-    return ResidueProfile(tuple(entries))
+    """The residues of u: along each divisor, the product of the memoized
+    residues of the prime pairs u expands into."""
+    acc: dict[PrimeDivisor, CurveClass] = {}
+    for p, q in _pairs(u, s):
+        for c, r in _pair_profile(p, q, s).entries:
+            acc[c] = acc[c] * r if c in acc else r
+    return ResidueProfile(tuple(sorted(
+        ((c, r) for c, r in acc.items() if not r.is_trivial), key=lambda cr: str(cr[0]))))
 
 
 def is_unramified_over_C(u: BrauerClass, s: SurfaceModel) -> bool:

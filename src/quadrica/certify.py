@@ -33,7 +33,7 @@ from .funfield import (
     hensel_report,
     surface,
 )
-from .poly import Poly, RatFn, format_poly
+from .poly import Poly, PolyError, RatFn, format_poly
 from .quadform import (
     BundleType,
     DiagForm,
@@ -285,7 +285,18 @@ def verdict_p2(data) -> Verdict:
         return Verdict(RATIONAL, "section-bidegree-12-projection", t, notes=notes)
     if ds in OPEN_P2_TYPES:
         return Verdict(OPEN, "open-sextic-k3", t, notes=notes)
-    cert = build_certificate(t)
+    return _certified_verdict(t, notes)
+
+
+def _certified_verdict(t: BundleType, notes: tuple[str, ...]) -> Verdict:
+    """NotStablyRational with its certificate, or Unknown with the failed
+    link as a note."""
+    try:
+        cert = build_certificate(t)
+    except CertifyError as exc:
+        reason = ("degeneration-unconstructible" if isinstance(exc, ConstructionError)
+                  else "certificate-link-failed")
+        return Verdict(UNKNOWN, reason, t, notes=(*notes, str(exc)))
     return Verdict(NOT_STABLY_RATIONAL, f"degeneration-{cert.rule}", t,
                    certificate=cert, notes=notes)
 
@@ -388,13 +399,7 @@ def verdict_p1xp1(data) -> Verdict:
             notes.append(f"also certifiable via the low-degree route {alt}")
     elif alt is None:
         return Verdict(UNKNOWN, "outside-corollary-hypotheses", t, notes=tuple(notes))
-    try:
-        cert = build_certificate(t)
-    except ConstructionError as exc:
-        notes.append(str(exc))
-        return Verdict(UNKNOWN, "degeneration-unconstructible", t, notes=tuple(notes))
-    return Verdict(NOT_STABLY_RATIONAL, f"degeneration-{cert.rule}", t,
-                   certificate=cert, notes=tuple(notes))
+    return _certified_verdict(t, tuple(notes))
 
 
 def verdict_for(surface_kind: str, data) -> Verdict:
@@ -446,15 +451,15 @@ def _certify(t: BundleType, rule: str, form: DiagForm,
     disc = discriminant(fiber)
     if disc.is_trivial:
         raise CertifyError("link discriminant: trivial discriminant")
-    alpha_prof = residue_profile(alpha, s)
+    beta = clifford_invariant(fiber)
+    try:
+        alpha_prof = residue_profile(alpha, s)
+        beta_prof = residue_profile(beta, s)
+    except (UnsupportedCurveError, PolyError) as exc:
+        raise CertifyError(f"link residues: inconclusive ({exc})") from exc
     aras = arason_nontriviality(disc, alpha_prof)
     if not aras.passed:
         raise CertifyError(f"link arason: {aras.note}")
-    beta = clifford_invariant(fiber)
-    try:
-        beta_prof = residue_profile(beta, s)
-    except UnsupportedCurveError as exc:
-        raise CertifyError(f"link pirutka: inconclusive ({exc})") from exc
     pir = pirutka_check(disc, alpha_prof, beta_prof)
     if pir.passed is None:
         raise CertifyError(f"link pirutka: inconclusive ({'; '.join(pir.problems)})")

@@ -68,9 +68,20 @@ def _parse_entries(s, text: str) -> tuple[Poly, ...]:
     return tuple(out)
 
 
+def _split_symbols(text: str) -> list[str]:
+    """text split at each '+' that lies outside parentheses."""
+    pieces, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if ch == "+" and depth == 0:
+            pieces.append(text[start:i])
+            start = i + 1
+    return pieces + [text[start:]]
+
+
 def _parse_alpha(s, text: str) -> BrauerClass:
     cls = EMPTY_CLASS
-    for piece in text.split("+"):
+    for piece in _split_symbols(text):
         piece = piece.strip()
         if not piece:
             continue
@@ -215,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("--entries", required=True,
                        help="four ';'-separated diagonal entries")
     p_inv.add_argument("--alpha", default="",
-                       help="optional class, symbols a|b joined by +")
+                       help="optional class, symbols a|b joined by +, as in (x+1)|y+x|y")
     p_inv.add_argument("--homogeneous", action="store_true",
                        help="entries are (bi)homogeneous; take the chart fiber first")
     p_inv.add_argument("--output", choices=("text", "json"), default="text")

@@ -550,10 +550,11 @@ def _padding_form(s: SurfaceModel, pi: Poly, block: tuple[str, ...]) -> Poly:
     raise PolyError("no padding form available")
 
 
+@lru_cache(maxsize=None)
 def hensel_report(d: RatFn | Poly, c: PrimeDivisor) -> HenselWitness:
     """Decide whether d becomes a square in the fraction field of the
     completed local ring at c: even valuation, and the unit part restricts
-    to a square in the residue field."""
+    to a square in the residue field.  Memoized on (d, c)."""
     s = c.surface
     u = unit_part(d, c)
     if u.valuation % 2 != 0:

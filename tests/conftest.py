@@ -12,6 +12,15 @@ F_TEXT = "x^2+y^2+z^2-2*(x*y+x*z+y*z)"
 H_TEXT = "x1^2*y0^2+x0^2*y1^2+x0^2*y0^2-2*(x1*y1*x0*y0+x1*x0*y0^2+y1*y0*x0^2)"
 
 
+def clear_residue_memos():
+    """Empty the pair-profile and Hensel memos, so the next certificate
+    computes every residue and Hensel row again."""
+    from quadrica.brauer import _pair_profile
+    from quadrica.funfield import hensel_report
+    _pair_profile.cache_clear()
+    hensel_report.cache_clear()
+
+
 @pytest.fixture(scope="session")
 def p2():
     return surface("p2")

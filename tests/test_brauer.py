@@ -17,7 +17,7 @@ from quadrica.brauer import (
 from quadrica.funfield import CurveClass, prime_divisor
 from quadrica.poly import Poly, PolyError, RatFn, parse_poly
 
-from conftest import P2_VARS
+from conftest import P1XP1_VARS, P2_VARS, clear_residue_memos
 
 T = ("t",)
 
@@ -213,31 +213,107 @@ def reference_tame_residue(u, c):
     return res
 
 
-def residues_met_while_certifying(monkeypatch):
-    """Every (class, divisor) pair whose residue the verdicts of P^2 up to
-    bound 8 and P^1 x P^1 up to bound 3 compute."""
+def reference_candidate_divisors(u, s):
+    """Factors of all symbol entries, homogenized, plus the coordinate
+    divisors of the model (residues vanish along everything else)."""
+    from quadrica.funfield import coordinate_divisors, homogenize, require_chart
+    from quadrica.poly import factor
+    divs = set(coordinate_divisors(s))
+    for a, b in u.symbols:
+        for slot in (a, b):
+            require_chart(s, slot)
+            if slot.is_constant():
+                continue
+            for q, _ in factor(slot).factors:
+                divs.add(prime_divisor(s, homogenize(s, q)))
+    return tuple(sorted(divs, key=str))
+
+
+def reference_residue_profile(u, s):
+    """The profile as it was computed before pair profiles: the residue of
+    the whole class along each candidate divisor."""
+    from quadrica.brauer import ResidueProfile
+    entries = []
+    for c in reference_candidate_divisors(u, s):
+        r = tame_residue(u, c)
+        if not r.is_trivial:
+            entries.append((c, r))
+    return ResidueProfile(tuple(entries))
+
+
+@pytest.fixture(scope="module")
+def classes_met_while_certifying():
+    """Every (class, surface) whose residue profile the verdicts of P^2 up
+    to bound 8 and P^1 x P^1 up to bound 3 compute, from cold memos."""
     import quadrica.brauer as brauer
     import quadrica.certify as certify
     met = {}
 
-    def record(u, c, _fn=brauer.tame_residue):
-        met[(u, c)] = None
-        return _fn(u, c)
-    monkeypatch.setattr(brauer, "tame_residue", record)
-    for data in certify.enumerate_types("p2", 8):
-        certify.verdict_for("p2", data)
-    for data in certify.enumerate_types("p1xp1", 3):
-        certify.verdict_for("p1xp1", data)
-    monkeypatch.undo()
+    def record(u, s, _fn=brauer.residue_profile):
+        met[(u, s)] = None
+        return _fn(u, s)
+    clear_residue_memos()
+    with pytest.MonkeyPatch.context() as mp:
+        for space in (brauer, certify):
+            mp.setattr(space, "residue_profile", record)
+        for data in certify.enumerate_types("p2", 8):
+            certify.verdict_for("p2", data)
+        for data in certify.enumerate_types("p1xp1", 3):
+            certify.verdict_for("p1xp1", data)
     return list(met)
 
 
-def test_tame_residue_matches_reference_on_certificates(monkeypatch):
-    pairs = residues_met_while_certifying(monkeypatch)
+def test_tame_residue_matches_reference_on_certificates(classes_met_while_certifying):
+    pairs = [(u, c) for u, s in classes_met_while_certifying
+             for c in reference_candidate_divisors(u, s)]
     assert {c.surface.kind for _, c in pairs} == {"p2", "p1xp1"}
     assert any(len(u.symbols) > 1 for u, _ in pairs)
     for u, c in pairs:
         assert tame_residue(u, c) == reference_tame_residue(u, c), (u, c)
+
+
+def _random_class(rng, pool, variables):
+    def slot():
+        p = Poly.const(variables, rng.choice([1, 2, -1, -3]))
+        for q in rng.sample(pool, rng.randint(1, 3)):
+            p = p * q ** rng.randint(1, 2)
+        return p
+    u = EMPTY_CLASS
+    for _ in range(rng.randint(1, 3)):
+        u = add_classes(u, symbol(slot(), slot()))
+    return u
+
+
+def test_residue_profile_matches_reference(classes_met_while_certifying, p2, p1xp1, Fb,
+                                           hpoly):
+    for u, s in classes_met_while_certifying:
+        assert residue_profile(u, s) == reference_residue_profile(u, s), (u, s)
+    rng = random.Random(88)
+    for s, (x, y), F in ((p2, (Poly.var(P2_VARS, "x"), Poly.var(P2_VARS, "y")), Fb),
+                         (p1xp1, (Poly.var(P1XP1_VARS, "x1"), Poly.var(P1XP1_VARS, "y1")),
+                          hpoly.substitute({"x0": 1, "y0": 1}))):
+        pool = [x, y, F, x + 1, x - y, y + 1]
+        for _ in range(60):
+            u = _random_class(rng, pool, s.variables)
+            try:
+                want = reference_residue_profile(u, s)
+            except PolyError as exc:
+                with pytest.raises(type(exc)):
+                    residue_profile(u, s)
+                continue
+            assert residue_profile(u, s) == want, (u, s)
+
+
+def test_pair_profiles_are_memoized_per_surface(p2, xyz):
+    from quadrica.brauer import _pair_profile
+    x, y, _ = xyz
+    clear_residue_memos()
+    # (xy, y) = (x, y) + (y, -1) and (y, x) = (x, y) share the pair {x, y}
+    want = reference_residue_profile(symbol(x, y), p2)
+    assert residue_profile(symbol(x * y, y), p2) == want
+    assert residue_profile(symbol(y, x), p2) == want
+    assert residue_profile(add_classes(symbol(x * y, y), symbol(y, x)), p2).is_empty
+    assert _pair_profile.cache_info().currsize == 1
 
 
 def test_tame_residue_matches_reference_randomized(p2, F, Fb, xyz):

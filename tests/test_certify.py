@@ -45,7 +45,7 @@ from quadrica.quadform import (
     type_of,
 )
 
-from conftest import P2_VARS
+from conftest import P2_VARS, clear_residue_memos
 
 
 def pirutka(fiber, alpha):
@@ -241,6 +241,39 @@ def test_pinned_certificate_digests(surface_kind, type_text, digest):
     assert v.reason.startswith("degeneration-")
     assert certificate_digest(v.certificate) == digest
     assert replay_certificate(v.certificate)
+
+
+def test_pinned_digests_from_cold_memos():
+    from quadrica.cli import parse_type_string
+    for surface_kind, type_text, digest in PINNED_DIGESTS:
+        clear_residue_memos()
+        v = verdict_for(surface_kind, parse_type_string(surface_kind, type_text))
+        assert certificate_digest(v.certificate) == digest
+        assert replay_certificate(v.certificate)
+
+
+def test_p2_sweep_caches_three_pair_profiles():
+    from quadrica.brauer import _pair_profile
+    _pair_profile.cache_clear()
+    for data in enumerate_types("p2", 8):
+        verdict_for("p2", data)
+    assert 0 < _pair_profile.cache_info().currsize <= 3
+
+
+@pytest.mark.parametrize("surface_kind,data", [
+    ("p2", (2, 2, 2, 2)), ("p1xp1", ((1, 1), (1, 1), (1, 1), (3, 3)))])
+def test_failed_residue_link_gives_unknown(monkeypatch, surface_kind, data):
+    import quadrica.certify as certify
+    from quadrica.funfield import UnsupportedCurveError
+    cert = build_certificate(BundleType.of(surface_kind, data))
+
+    def refuse(u, s):
+        raise UnsupportedCurveError("no parametrization")
+    monkeypatch.setattr(certify, "residue_profile", refuse)
+    v = verdict_for(surface_kind, data)
+    assert (v.outcome, v.reason, v.certificate) == (UNKNOWN, "certificate-link-failed", None)
+    assert v.notes[-1] == "link residues: inconclusive (no parametrization)"
+    assert not replay_certificate(cert)
 
 
 def test_chain_computes_each_invariant_once(monkeypatch):

@@ -101,6 +101,38 @@ def test_invariants_json(capsys):
     assert data["alpha_residues"] == {"x": "t", "y": "t", "z": "t"}
 
 
+def test_invariants_alpha_slot_with_a_sum(capsys, p2, xyz):
+    from quadrica.brauer import residue_profile, symbol
+    x, y, _ = xyz
+    code, out, _ = run_cli(capsys, "invariants", "--surface", "p2", "--entries",
+                           "y;x;x*y;x^2+y^2+1-2*(x*y+x+y)", "--alpha", "(x+1)|y",
+                           "--output", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["alpha"] == [["x+1", "y"]]
+    prof = residue_profile(symbol(x + 1, y), p2)
+    assert data["alpha_residues"] == {str(c): str(r) for c, r in prof.entries}
+    assert "x+z" in data["alpha_residues"]
+    # a '+' outside parentheses still joins symbols
+    code, out, _ = run_cli(capsys, "invariants", "--surface", "p2", "--entries",
+                           "y;x;x*y;x^2+y^2+1-2*(x*y+x+y)", "--alpha", "x|y+x*y|x",
+                           "--output", "json")
+    assert code == 0 and json.loads(out)["alpha"] == [["x", "y"], ["x*y", "x"]]
+
+
+def test_certify_failed_link_exit_3(capsys, monkeypatch):
+    import quadrica.certify as certify
+    from quadrica.funfield import UnsupportedCurveError
+
+    def refuse(u, s):
+        raise UnsupportedCurveError("no parametrization")
+    monkeypatch.setattr(certify, "residue_profile", refuse)
+    code, out, err = run_cli(capsys, "certify", "--surface", "p2", "--type", "2,2,2,2")
+    assert code == 3 and "Traceback" not in err
+    assert "outcome: Unknown" in out
+    assert "note: link residues: inconclusive (no parametrization)" in out
+
+
 def test_invariants_no_alpha(capsys):
     code, out, _ = run_cli(capsys, "invariants", "--surface", "p2",
                            "--entries", "y;x;x*y;x^2+y^2+1-2*(x*y+x+y)")

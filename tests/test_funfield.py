@@ -21,7 +21,7 @@ from quadrica.funfield import (
 )
 from quadrica.poly import Poly, PolyError, RatFn, parse_poly
 
-from conftest import P1XP1_VARS, P2_VARS
+from conftest import P1XP1_VARS, P2_VARS, clear_residue_memos
 
 T = ("t",)
 
@@ -384,9 +384,11 @@ def reference_hensel_report(d, c):
 
 def units_met_while_certifying(monkeypatch):
     """Every (function, divisor) pair handed to the unit-part and Hensel
-    tests by the verdicts of P^2 up to bound 8 and P^1 x P^1 up to bound 3."""
+    tests by the verdicts of P^2 up to bound 8 and P^1 x P^1 up to bound 3,
+    from cold residue and Hensel memos."""
     import quadrica.brauer as brauer
     import quadrica.certify as certify
+    clear_residue_memos()
     met = {}
     for space, name in ((brauer, "unit_part"), (certify, "hensel_report")):
         def record(f, c, _fn=getattr(space, name)):
