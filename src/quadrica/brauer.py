@@ -33,7 +33,6 @@ from .funfield import (
     PrimeDivisor,
     SquareClass,
     SurfaceModel,
-    coordinate_divisors,
     homogenize,
     prime_divisor,
     require_chart,
@@ -145,10 +144,11 @@ def _pairs(u: BrauerClass, s: SurfaceModel) -> list[tuple[Poly, Poly]]:
 @lru_cache(maxsize=None)
 def _pair_profile(p: Poly, q: Poly, s: SurfaceModel) -> ResidueProfile:
     """Residues of the symbol (p, q) of two chart primes along the
-    coordinate divisors and the divisors of p and q; it is unramified
-    everywhere else."""
+    boundary divisors and the divisors of p and q; along any other divisor
+    both slots are units, so the symbol is unramified there."""
     u = symbol(p, q)
-    divs = {*coordinate_divisors(s), *(prime_divisor(s, homogenize(s, r)) for r in (p, q))}
+    divs = {*(PrimeDivisor(s, Poly.var(s.variables, v)) for v in s.boundary_vars),
+            *(prime_divisor(s, homogenize(s, r)) for r in (p, q))}
     entries = ((c, tame_residue(u, c)) for c in sorted(divs, key=str))
     return ResidueProfile(tuple((c, r) for c, r in entries if not r.is_trivial))
 

@@ -429,6 +429,14 @@ def build_certificate(t: BundleType) -> Certificate:
     return _certify(t, rule, form, normalize_to_hpt)
 
 
+def _link(name: str, fn: Callable, *args):
+    """fn(*args); a kernel or form error becomes a CertifyError naming the link."""
+    try:
+        return fn(*args)
+    except (PolyError, QuadformError) as exc:
+        raise CertifyError(f"link {name}: {exc}") from exc
+
+
 def _certify(t: BundleType, rule: str, form: DiagForm,
              find_witness: Callable[[DiagForm], SimilarityWitness | None]) -> Certificate:
     """The certificate links, in order, on a degeneration of type t; the
@@ -441,17 +449,17 @@ def _certify(t: BundleType, rule: str, form: DiagForm,
     weak = g.is_constant()
     if not weak:
         raise CertifyError(f"link weak-bundle: entries share the factor {g}")
-    fiber = generic_fiber(form)
+    fiber = _link("fiber", generic_fiber, form)
     witness = find_witness(fiber)
     if witness is None:
         raise CertifyError("link similarity: fiber is not similar to the canonical quadric")
     if not verify_witness(fiber, witness):
         raise CertifyError("link similarity: witness replay failed")
     alpha = hpt_alpha(s)
-    disc = discriminant(fiber)
+    disc = _link("discriminant", discriminant, fiber)
     if disc.is_trivial:
         raise CertifyError("link discriminant: trivial discriminant")
-    beta = clifford_invariant(fiber)
+    beta = _link("clifford", clifford_invariant, fiber)
     try:
         alpha_prof = residue_profile(alpha, s)
         beta_prof = residue_profile(beta, s)

@@ -1,12 +1,15 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
-A polynomial is a sparse map from exponent vectors to nonzero Fraction
-coefficients over a fixed, ordered tuple of variable names.  The map is
-canonical (no zero coefficients are stored), so equal polynomials have
-equal term maps, equal hashes and identical printed forms.  Leading
-terms and printing use the graded lexicographic order in the declared
-variable order.  Values are immutable; every operation returns a fresh
-Poly.
+A polynomial is a sparse map from exponent vectors to nonzero rational
+coefficients over a fixed, ordered tuple of variable names; a coefficient
+is stored as an int when its denominator is 1 and as a Fraction otherwise,
+so the common integral case runs on int arithmetic.  The map is canonical
+(no zero and no integral Fraction is stored), and an int compares and
+hashes like the Fraction of its value, so equal polynomials have equal
+term maps, equal hashes and identical printed forms.  Leading terms and
+printing use the graded lexicographic order in the declared variable
+order.  Values are immutable, so an operation that leaves its operand
+unchanged (a product by 1) may return it.
 
 Factorization is deliberately scoped.  The polynomials this engine has
 to split are products of variables, linear forms and two fixed smooth
@@ -28,7 +31,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd as _int_gcd, isqrt
+from math import gcd as _int_gcd, isqrt, lcm
 from typing import Iterator, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -55,17 +58,42 @@ def _grlex(e: Exponents) -> tuple[int, Exponents]:
     return (sum(e), e)
 
 
+def _scalar(c: Scalar) -> Scalar:
+    """An exact coefficient value: an int when integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    if isinstance(c, float):
+        raise PolyError(f"inexact coefficient {c!r}; use an int or a Fraction")
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _ints(terms: dict[Exponents, Scalar]) -> dict[Exponents, Scalar]:
+    """Store the integral Fraction values of a term map as ints, in place."""
+    for e, c in terms.items():
+        if type(c) is Fraction and c.denominator == 1:
+            terms[e] = c.numerator
+    return terms
+
+
+def _quo(c: Scalar, d: Scalar) -> Scalar:
+    """The exact quotient c / d, an int when d divides c."""
+    q, r = divmod(c, d)
+    return q if not r else Fraction(c) / d
+
+
 class Poly:
-    """Immutable sparse polynomial with Fraction coefficients."""
+    """Immutable sparse polynomial; int or Fraction coefficients as the
+    module docstring describes, read back as Fraction by the accessors."""
 
     __slots__ = ("variables", "_terms", "_hash")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Exponents, Scalar]):
         vs = tuple(variables)
         n = len(vs)
-        tm: dict[Exponents, Fraction] = {}
+        tm: dict[Exponents, Scalar] = {}
         for exps, c in terms.items():
-            cf = Fraction(c)
+            cf = _scalar(c)
             if cf == 0:
                 continue
             e = tuple(int(k) for k in exps)
@@ -73,13 +101,13 @@ class Poly:
                 raise PolyError(f"exponent vector {e} does not match variables {vs}")
             if any(k < 0 for k in e):
                 raise PolyError(f"negative exponent in {e}")
-            tm[e] = tm.get(e, Fraction(0)) + cf
+            tm[e] = tm.get(e, 0) + cf
         self.variables = vs
-        self._terms = {e: c for e, c in tm.items() if c != 0}
+        self._terms = _ints({e: c for e, c in tm.items() if c != 0})
         self._hash: int | None = None
 
     @classmethod
-    def _raw(cls, variables: tuple[str, ...], terms: dict[Exponents, Fraction]) -> Poly:
+    def _raw(cls, variables: tuple[str, ...], terms: dict[Exponents, Scalar]) -> Poly:
         # internal constructor: terms assumed canonical
         self = object.__new__(cls)
         self.variables = variables
@@ -96,7 +124,7 @@ class Poly:
     @staticmethod
     def const(variables: Sequence[str], value: Scalar) -> Poly:
         vs = tuple(variables)
-        c = Fraction(value)
+        c = _scalar(value)
         if c == 0:
             return Poly._raw(vs, {})
         return Poly._raw(vs, {(0,) * len(vs): c})
@@ -108,7 +136,7 @@ class Poly:
             raise PolyError(f"unknown variable {name!r} for {vs}")
         e = [0] * len(vs)
         e[vs.index(name)] = 1
-        return Poly._raw(vs, {tuple(e): Fraction(1)})
+        return Poly._raw(vs, {tuple(e): 1})
 
     @staticmethod
     def monomial(variables: Sequence[str], exps: Mapping[str, int], coeff: Scalar = 1) -> Poly:
@@ -131,15 +159,15 @@ class Poly:
             return Fraction(0)
         if not self.is_constant():
             raise PolyError(f"{self} is not constant")
-        return next(iter(self._terms.values()))
+        return Fraction(next(iter(self._terms.values())))
 
-    def terms(self) -> Iterator[tuple[Exponents, Fraction]]:
+    def terms(self) -> Iterator[tuple[Exponents, Scalar]]:
         """Terms in descending graded-lex order."""
         for e in sorted(self._terms, key=_grlex, reverse=True):
             yield e, self._terms[e]
 
     def coefficient(self, exps: Exponents) -> Fraction:
-        return self._terms.get(tuple(exps), Fraction(0))
+        return Fraction(self._terms.get(tuple(exps), 0))
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -169,7 +197,7 @@ class Poly:
         return tuple(v for i, v in enumerate(self.variables)
                      if any(e[i] for e in self._terms))
 
-    def leading(self) -> tuple[Exponents, Fraction]:
+    def leading(self) -> tuple[Exponents, Scalar]:
         if not self._terms:
             raise PolyError("zero polynomial has no leading term")
         e = max(self._terms, key=_grlex)
@@ -188,12 +216,12 @@ class Poly:
         self._check(other)
         out = dict(self._terms)
         for e, c in other._terms.items():
-            s = out.get(e, Fraction(0)) + c
+            s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return Poly._raw(self.variables, out)
+        return Poly._raw(self.variables, _ints(out))
 
     __radd__ = __add__
 
@@ -210,24 +238,26 @@ class Poly:
 
     def __mul__(self, other: Poly | Scalar) -> Poly:
         if not isinstance(other, Poly):
-            c = Fraction(other)
+            c = _scalar(other)
             if c == 0:
                 return Poly.zero(self.variables)
+            if c == 1:
+                return self
             return Poly._raw(self.variables,
-                             {e: k * c for e, k in self._terms.items()})
+                             _ints({e: k * c for e, k in self._terms.items()}))
         self._check(other)
         if not self._terms or not other._terms:
             return Poly.zero(self.variables)
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Scalar] = {}
         for ea, ca in self._terms.items():
             for eb, cb in other._terms.items():
                 e = tuple(i + j for i, j in zip(ea, eb))
-                s = out.get(e, Fraction(0)) + ca * cb
+                s = out.get(e, 0) + ca * cb
                 if s:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        return Poly._raw(self.variables, out)
+        return Poly._raw(self.variables, _ints(out))
 
     __rmul__ = __mul__
 
@@ -292,23 +322,17 @@ class Poly:
 
     def derivative(self, name: str) -> Poly:
         i = self._index(name)
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Scalar] = {}
         for e, c in self._terms.items():
             if e[i] == 0:
                 continue
             ne = list(e)
             ne[i] -= 1
             out[tuple(ne)] = c * e[i]
-        return Poly._raw(self.variables, out)
+        return Poly._raw(self.variables, _ints(out))
 
 
 # ------------------------------------------------------------------ formatting
-
-
-def _coeff_str(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
 
 
 def format_poly(p: Poly) -> str:
@@ -322,11 +346,11 @@ def format_poly(p: Poly) -> str:
             for name, e in zip(p.variables, exps) if e)
         mag = abs(c)
         if not mono:
-            body = _coeff_str(mag)
+            body = str(mag)
         elif mag == 1:
             body = mono
         else:
-            body = f"{_coeff_str(mag)}*{mono}"
+            body = f"{mag}*{mono}"
         sign = "-" if c < 0 else "+"
         if not pieces:
             pieces.append(body if sign == "+" else "-" + body)
@@ -450,15 +474,8 @@ def content(p: Poly) -> Fraction:
     """Positive rational content; error on the zero polynomial."""
     if p.is_zero():
         raise PolyError("zero polynomial has no content")
-    nums = [c.numerator for c in p._terms.values()]
-    dens = [c.denominator for c in p._terms.values()]
-    g = 0
-    for n in nums:
-        g = _int_gcd(g, abs(n))
-    l = 1
-    for d in dens:
-        l = l * d // _int_gcd(l, d)
-    return Fraction(g, l)
+    cs = p._terms.values()
+    return Fraction(_int_gcd(*(c.numerator for c in cs)), lcm(*(c.denominator for c in cs)))
 
 
 def normalized_with_unit(p: Poly) -> tuple[Fraction, Poly]:
@@ -469,7 +486,10 @@ def normalized_with_unit(p: Poly) -> tuple[Fraction, Poly]:
     c = content(p)
     _, lead = p.leading()
     unit = c if lead > 0 else -c
-    return unit, p * (1 / unit)
+    if unit == 1:
+        return unit, p
+    u = _scalar(unit)
+    return unit, Poly._raw(p.variables, {e: _quo(k, u) for e, k in p._terms.items()})
 
 
 def normalize(p: Poly) -> Poly:
@@ -486,22 +506,21 @@ def exact_div(p: Poly, d: Poly) -> Poly | None:
     p._check(d)
     if p.is_zero():
         return p
-    if d.is_constant():
-        return p * (1 / d.constant_value())
     dl, dc = d.leading()
+    if d.is_constant():
+        return Poly._raw(p.variables, {e: _quo(k, dc) for e, k in p._terms.items()})
     rem = dict(p._terms)
-    out: dict[Exponents, Fraction] = {}
+    out: dict[Exponents, Scalar] = {}
     while rem:
         le = max(rem, key=_grlex)
         lc = rem[le]
         diff = tuple(a - b for a, b in zip(le, dl))
         if any(k < 0 for k in diff):
             return None
-        q = lc / dc
-        out[diff] = q
+        q = out[diff] = _quo(lc, dc)
         for de, dcf in d._terms.items():
             te = tuple(a + b for a, b in zip(diff, de))
-            nv = rem.get(te, Fraction(0)) - q * dcf
+            nv = rem.get(te, 0) - q * dcf
             if nv:
                 rem[te] = nv
             else:
@@ -536,7 +555,7 @@ def divide_out(p: Poly, d: Poly) -> tuple[int, Poly]:
 def _coeffs_in(p: Poly, vi: int) -> dict[int, Poly]:
     """Split p by the exponent of variable index vi; coefficient polys
     have zero degree in that variable."""
-    out: dict[int, dict[Exponents, Fraction]] = {}
+    out: dict[int, dict[Exponents, Scalar]] = {}
     for e, c in p._terms.items():
         k = e[vi]
         ne = list(e)
@@ -565,7 +584,7 @@ def _prem(p: Poly, q: Poly, vi: int) -> Poly:
             break
         shift = [0] * len(p.variables)
         shift[vi] = dr - dq
-        r = r * lq - q * lr * Poly._raw(p.variables, {tuple(shift): Fraction(1)})
+        r = r * lq - q * lr * Poly._raw(p.variables, {tuple(shift): 1})
     return r
 
 
@@ -779,7 +798,7 @@ def _is_bihomogeneous(p: Poly) -> bool:
 def _block_content(p: Poly, group: tuple[int, ...]) -> Poly:
     """gcd of the coefficient polys of p when grouped by the monomials in
     the given variable indices; the result involves only the other block."""
-    groups: dict[Exponents, dict[Exponents, Fraction]] = {}
+    groups: dict[Exponents, dict[Exponents, Scalar]] = {}
     for e, c in p._terms.items():
         key = tuple(e[i] for i in group)
         ne = list(e)

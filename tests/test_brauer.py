@@ -357,3 +357,20 @@ def test_tame_residue_restricts_no_quotient(p2, Fb, xyz, count_calls):
     for q in (x, y, z):
         tame_residue(u, prime_divisor(p2, q))
     assert counts == {"restrict_unit": 0, "valuation_along": 0}
+
+
+def test_pair_profile_skips_coordinate_divisors_off_the_pair(p2, F, Fb, xyz, monkeypatch):
+    # along y both slots of (x, F) are units, so only z, x and F are tried
+    import quadrica.brauer as brauer
+    x, _, z = xyz
+    seen = []
+
+    def recording(u, c):
+        seen.append(c.poly)
+        return tame_residue(u, c)
+    monkeypatch.setattr(brauer, "tame_residue", recording)
+    clear_residue_memos()
+    u = symbol(x, Fb)
+    assert residue_profile(u, p2) == reference_residue_profile(u, p2)
+    assert sorted(seen, key=str) == sorted([z, x, F], key=str)
+    clear_residue_memos()

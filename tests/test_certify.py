@@ -29,7 +29,7 @@ from quadrica.certify import (
     verdict_p2,
 )
 from quadrica.funfield import CurveClass, surface
-from quadrica.poly import Poly
+from quadrica.poly import FactorError, Poly, PolyError
 from quadrica.quadform import (
     BundleType,
     QuadformError,
@@ -274,6 +274,28 @@ def test_failed_residue_link_gives_unknown(monkeypatch, surface_kind, data):
     assert (v.outcome, v.reason, v.certificate) == (UNKNOWN, "certificate-link-failed", None)
     assert v.notes[-1] == "link residues: inconclusive (no parametrization)"
     assert not replay_certificate(cert)
+
+
+@pytest.mark.parametrize("surface_kind,text", [
+    ("p2", "2,2,2,2"), ("p1xp1", "1:1,1:1,1:1,3:3")])
+@pytest.mark.parametrize("link,name,error", [
+    ("fiber", "generic_fiber", QuadformError),
+    ("discriminant", "discriminant", FactorError),
+    ("clifford", "clifford_invariant", PolyError)])
+def test_failed_form_link_gives_unknown(monkeypatch, capsys, surface_kind, text, link, name,
+                                        error):
+    import quadrica.certify as certify
+    from quadrica.cli import main, parse_type_string
+
+    def refuse(arg):
+        raise error("outside the supported class")
+    monkeypatch.setattr(certify, name, refuse)
+    v = verdict_for(surface_kind, parse_type_string(surface_kind, text))
+    assert (v.outcome, v.reason, v.certificate) == (UNKNOWN, "certificate-link-failed", None)
+    assert v.notes[-1] == f"link {link}: outside the supported class"
+    assert main(["certify", "--surface", surface_kind, "--type", text]) == 3
+    out, err = capsys.readouterr()
+    assert "outcome: Unknown" in out and "Traceback" not in err
 
 
 def test_chain_computes_each_invariant_once(monkeypatch):

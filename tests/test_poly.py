@@ -513,3 +513,96 @@ def test_gcd_and_square_free_part_match_sympy_oracle(Fb):
             sympy.gcd(sa, sb)), (a, b)
         assert _primitive(_to_sympy(sympy, square_free_part(a), gens)) == _primitive(
             sympy.sqf_part(sa)), a
+
+
+# -------------------------------------------------------- coefficient storage
+
+
+def _stored_canonically(p):
+    """Every integral coefficient is an int, every other one a Fraction."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for c in p._terms.values())
+
+
+def _random_mixed_poly(rng, variables, max_terms=3, max_exp=2):
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        e = tuple(rng.randint(0, max_exp) for _ in variables)
+        terms[e] = rng.choice((rng.randint(-6, 6), Fraction(rng.randint(-6, 6),
+                                                            rng.randint(1, 4))))
+    return Poly(variables, terms)
+
+
+def test_int_storage_matches_sympy_oracle():
+    sympy = pytest.importorskip("sympy")
+    from quadrica.poly import content, normalized_with_unit
+    gens = sympy.symbols(P2_VARS)
+
+    def as_expr(p):
+        return _to_sympy(sympy, p, gens).as_expr()
+
+    def primitive_expr(q):
+        q = q.primitive()[1]
+        return (q if q.LC() > 0 else -q).as_expr()
+
+    rng = random.Random(3141)
+    checked = 0
+    while checked < 40:
+        g, u, v = (_random_mixed_poly(rng, P2_VARS) for _ in range(3))
+        if g.is_zero() or u.is_zero() or v.is_zero():
+            continue
+        a, b = g * u, g * v
+        sa, sb = _to_sympy(sympy, a, gens), _to_sympy(sympy, b, gens)
+        for p in (g, u, v, a, b, a + b, a - u):
+            assert _stored_canonically(p), p
+        assert as_expr(a) == sympy.expand(as_expr(g) * as_expr(u))
+        assert as_expr(a + b) == sympy.expand(as_expr(a) + as_expr(b))
+        for num, den in ((a, u), (b, g), (a, v)):
+            q = exact_div(num, den)
+            oq, orem = sympy.div(_to_sympy(sympy, num, gens), _to_sympy(sympy, den, gens))
+            if orem.is_zero:
+                assert q is not None and _stored_canonically(q)
+                assert as_expr(q) == oq.as_expr(), (num, den)
+            else:
+                assert q is None, (num, den)
+        unit, prim = normalized_with_unit(a)
+        assert _stored_canonically(prim) and prim * unit == a
+        assert all(type(c) is int for c in prim._terms.values())
+        assert prim.leading()[1] > 0
+        assert as_expr(prim) in (primitive_expr(sa), -primitive_expr(sa))
+        assert content(a) == abs(sympy.Rational(sa.primitive()[0]))
+        if unit == 1:
+            assert prim is a
+        h = poly_gcd(a, b)
+        assert _stored_canonically(h)
+        assert primitive_expr(_to_sympy(sympy, h, gens)) == primitive_expr(
+            sympy.Poly(sympy.gcd(sa, sb), *gens)), (a, b)
+        checked += 1
+
+
+def test_integral_coefficients_are_stored_as_ints():
+    e = (1, 0, 2)
+    p, q = Poly(P2_VARS, {e: Fraction(2)}), Poly(P2_VARS, {e: 2})
+    assert p == q and hash(p) == hash(q) and str(p) == str(q) == "2*x*z^2"
+    assert type(p._terms[e]) is int
+    half = Poly(P2_VARS, {e: Fraction(1, 2)})
+    assert type((half * 2)._terms[e]) is int
+    assert type((half + half)._terms[e]) is int
+    assert type(half.derivative("z")._terms[(1, 0, 1)]) is int
+    assert type(p.coefficient(e)) is Fraction and p.coefficient(e) == 2
+    assert type(p.coefficient((0, 0, 0))) is Fraction
+    for value in (3, Fraction(3, 2), 0):
+        c = Poly.const(P2_VARS, value)
+        assert type(c.constant_value()) is Fraction and c.constant_value() == value
+
+
+def test_float_coefficients_rejected(F):
+    e = (1, 0, 0)
+    with pytest.raises(PolyError):
+        Poly(P2_VARS, {e: 0.5})
+    with pytest.raises(PolyError):
+        Poly.const(P2_VARS, 2.0)
+    with pytest.raises(PolyError):
+        F * 0.5
+    with pytest.raises(PolyError):
+        F + 1.0
