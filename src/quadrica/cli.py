@@ -1,7 +1,8 @@
 """Command-line front end: invariant calculator, single-type certification,
 and verdict-table sweeps.
 
-Exit codes: 0 for any decided verdict, 2 for input errors, 3 for Unknown.
+Exit codes: 0 for any decided verdict, 2 for input errors, 3 for Unknown,
+141 when the reader of a `table` closes its stdout early.
 """
 
 from __future__ import annotations
@@ -191,17 +192,30 @@ def cmd_table(args) -> int:
     if args.bound < 0 or args.bound > TABLE_BOUND_LIMIT:
         print(f"error: bound must lie in 0..{TABLE_BOUND_LIMIT}", file=sys.stderr)
         return 2
+    if args.jobs < 1:
+        print("error: --jobs must be at least 1", file=sys.stderr)
+        return 2
     jobs = [(args.surface, data, args.output)
             for data in enumerate_types(args.surface, args.bound)]
     workers = min(args.jobs, _usable_cpus())
     # rows come back in enumeration order, which is already canonical
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for row in pool.map(_table_row, jobs, chunksize=8):
+    try:
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                try:
+                    for row in pool.map(_table_row, jobs, chunksize=8):
+                        print(row)
+                except BrokenPipeError:
+                    pool.shutdown(cancel_futures=True)   # nobody reads the rest
+                    raise
+        else:
+            for row in map(_table_row, jobs):
                 print(row)
-    else:
-        for row in map(_table_row, jobs):
-            print(row)
+    except BrokenPipeError:
+        # the reader is gone: the interpreter's final flush of stdout must
+        # not fail again; 141 is what a shell reports for a SIGPIPE exit
+        sys.stdout = open(os.devnull, "w")
+        return 141
     return 0
 
 

@@ -25,6 +25,7 @@ from .poly import (
     PolyError,
     RatFn,
     as_ratfn,
+    compose,
     det3,
     divide_out,
     exact_div,
@@ -379,15 +380,7 @@ def _search_conic_point(C: Poly, bound: int) -> tuple[int, int, int] | None:
 
 def _compose(p: Poly, coords: tuple[Poly, ...]) -> Poly:
     """Evaluate a polynomial on t-parametrized coordinates."""
-    acc = Poly.zero(T_VARS)
-    one = Poly.const(T_VARS, 1)
-    for e, c in p._terms.items():
-        term = one * c
-        for k, exp in enumerate(e):
-            if exp:
-                term = term * coords[k] ** exp
-        acc = acc + term
-    return acc
+    return compose(p, coords, T_VARS)
 
 
 def _verify_param(c: PrimeDivisor, coords: tuple[Poly, ...]) -> None:

@@ -9,7 +9,9 @@ hashes like the Fraction of its value, so equal polynomials have equal
 term maps, equal hashes and identical printed forms.  Leading terms and
 printing use the graded lexicographic order in the declared variable
 order.  Values are immutable, so an operation that leaves its operand
-unchanged (a product by 1) may return it.
+unchanged (a product by 1) may return it, and a printed form is kept once
+made.  Scalar substitution rewrites the term map; ``compose`` evaluates on
+polynomial images, building each power of an image once.
 
 Factorization is deliberately scoped.  The polynomials this engine has
 to split are products of variables, linear forms and two fixed smooth
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd as _int_gcd, isqrt, lcm
+from operator import add, sub
 from typing import Iterator, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -86,7 +89,7 @@ class Poly:
     """Immutable sparse polynomial; int or Fraction coefficients as the
     module docstring describes, read back as Fraction by the accessors."""
 
-    __slots__ = ("variables", "_terms", "_hash")
+    __slots__ = ("variables", "_terms", "_hash", "_str")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Exponents, Scalar]):
         vs = tuple(variables)
@@ -105,6 +108,7 @@ class Poly:
         self.variables = vs
         self._terms = _ints({e: c for e, c in tm.items() if c != 0})
         self._hash: int | None = None
+        self._str: str | None = None
 
     @classmethod
     def _raw(cls, variables: tuple[str, ...], terms: dict[Exponents, Scalar]) -> Poly:
@@ -113,6 +117,7 @@ class Poly:
         self.variables = variables
         self._terms = terms
         self._hash = None
+        self._str = None
         return self
 
     # ------------------------------------------------------------------ basics
@@ -251,7 +256,7 @@ class Poly:
         out: dict[Exponents, Scalar] = {}
         for ea, ca in self._terms.items():
             for eb, cb in other._terms.items():
-                e = tuple(i + j for i, j in zip(ea, eb))
+                e = tuple(map(add, ea, eb))
                 s = out.get(e, 0) + ca * cb
                 if s:
                     out[e] = s
@@ -264,14 +269,10 @@ class Poly:
     def __pow__(self, k: int) -> Poly:
         if not isinstance(k, int) or k < 0:
             raise PolyError(f"polynomial power must be a non-negative integer, got {k}")
-        result = Poly.const(self.variables, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        if k <= 1:
+            return self if k else Poly.const(self.variables, 1)
+        half = self ** (k >> 1)
+        return half * half * self if k & 1 else half * half
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
@@ -284,10 +285,32 @@ class Poly:
         return self._hash
 
     def __str__(self) -> str:
-        return format_poly(self)
+        """Grammar-compatible text: terms in descending graded-lex order,
+        formatted on first use and kept."""
+        if self._str is not None:
+            return self._str
+        pieces: list[str] = []
+        for exps, c in self.terms():
+            mono = "*".join(
+                name if e == 1 else f"{name}^{e}"
+                for name, e in zip(self.variables, exps) if e)
+            mag = abs(c)
+            if not mono:
+                body = str(mag)
+            elif mag == 1:
+                body = mono
+            else:
+                body = f"{mag}*{mono}"
+            sign = "-" if c < 0 else "+"
+            if not pieces:
+                pieces.append(body if sign == "+" else "-" + body)
+            else:
+                pieces.append(sign + body)
+        self._str = "".join(pieces) or "0"
+        return self._str
 
     def __repr__(self) -> str:
-        return f"Poly({format_poly(self)!r})"
+        return f"Poly({str(self)!r})"
 
     # ------------------------------------------------------------------- calc
 
@@ -295,30 +318,29 @@ class Poly:
         """Substitute polynomials or scalars for a subset of the variables.
 
         The result lives over the same variable tuple; bound variables
-        simply no longer occur in it.
+        simply no longer occur in it.  When every value is a scalar the
+        term map is rewritten in place of any product; otherwise the
+        polynomial is composed with the images of all its variables.
         """
         vs = self.variables
         for name in bindings:
             if name not in vs:
                 raise PolyError(f"unknown variable {name!r} in bindings")
-        vals: list[Poly] = []
-        for name in vs:
-            b = bindings.get(name)
-            if b is None:
-                vals.append(Poly.var(vs, name))
-            elif isinstance(b, Poly):
-                self._check(b)
-                vals.append(b)
-            else:
-                vals.append(Poly.const(vs, b))
-        acc = Poly.zero(vs)
-        for exps, c in self._terms.items():
-            t = Poly.const(vs, c)
-            for v, e in zip(vals, exps):
-                if e:
-                    t = t * v ** e
-            acc = acc + t
-        return acc
+        if not any(isinstance(b, Poly) for b in bindings.values()):
+            at = [(vs.index(name), _scalar(b)) for name, b in bindings.items()]
+            out: dict[Exponents, Scalar] = {}
+            for e, c in self._terms.items():
+                ne = list(e)
+                for i, b in at:
+                    if ne[i]:
+                        c *= b ** ne[i]
+                        ne[i] = 0
+                te = tuple(ne)
+                out[te] = out.get(te, 0) + c
+            return Poly._raw(vs, _ints({e: c for e, c in out.items() if c}))
+        images = [bindings.get(name, Poly.var(vs, name)) for name in vs]
+        return compose(self, [b if isinstance(b, Poly) else Poly.const(vs, b)
+                              for b in images], vs)
 
     def derivative(self, name: str) -> Poly:
         i = self._index(name)
@@ -332,31 +354,34 @@ class Poly:
         return Poly._raw(self.variables, _ints(out))
 
 
+def compose(p: Poly, images: Sequence[Poly], variables: Sequence[str]) -> Poly:
+    """p evaluated at images[i] for its i-th variable; the images and the
+    result live over `variables`.  Each distinct power of an image is built
+    once, and the terms are summed in one dict."""
+    vs = tuple(variables)
+    if len(images) != len(p.variables) or any(q.variables != vs for q in images):
+        raise PolyError(f"compose needs one image over {vs} per variable of {p.variables}")
+    one = Poly.const(vs, 1)
+    powers: dict[tuple[int, int], Poly] = {}
+    out: dict[Exponents, Scalar] = {}
+    for e, c in p._terms.items():
+        m = one
+        for i, k in enumerate(e):
+            if k:
+                if (i, k) not in powers:
+                    powers[i, k] = images[i] ** k
+                m = powers[i, k] if m is one else m * powers[i, k]
+        for me, mc in m._terms.items():
+            out[me] = out.get(me, 0) + c * mc
+    return Poly._raw(vs, _ints({e: c for e, c in out.items() if c}))
+
+
 # ------------------------------------------------------------------ formatting
 
 
 def format_poly(p: Poly) -> str:
     """Grammar-compatible text: terms in descending graded-lex order."""
-    if p.is_zero():
-        return "0"
-    pieces: list[str] = []
-    for exps, c in p.terms():
-        mono = "*".join(
-            name if e == 1 else f"{name}^{e}"
-            for name, e in zip(p.variables, exps) if e)
-        mag = abs(c)
-        if not mono:
-            body = str(mag)
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{mag}*{mono}"
-        sign = "-" if c < 0 else "+"
-        if not pieces:
-            pieces.append(body if sign == "+" else "-" + body)
-        else:
-            pieces.append(sign + body)
-    return "".join(pieces)
+    return str(p)
 
 
 # --------------------------------------------------------------------- parsing
@@ -514,12 +539,12 @@ def exact_div(p: Poly, d: Poly) -> Poly | None:
     while rem:
         le = max(rem, key=_grlex)
         lc = rem[le]
-        diff = tuple(a - b for a, b in zip(le, dl))
+        diff = tuple(map(sub, le, dl))
         if any(k < 0 for k in diff):
             return None
         q = out[diff] = _quo(lc, dc)
         for de, dcf in d._terms.items():
-            te = tuple(a + b for a, b in zip(diff, de))
+            te = tuple(map(add, diff, de))
             nv = rem.get(te, 0) - q * dcf
             if nv:
                 rem[te] = nv
@@ -998,7 +1023,7 @@ class RatFn:
         if num.is_zero():
             den = Poly.const(num.variables, 1)
         else:
-            g = poly_gcd(num, den)
+            g = den if den.is_constant() else poly_gcd(num, den)
             if not g.is_constant():
                 num = exact_div(num, g)  # type: ignore[assignment]
                 den = exact_div(den, g)  # type: ignore[assignment]

@@ -287,3 +287,82 @@ def test_table_prints_each_row_as_it_is_produced(capsys, monkeypatch):
         main(["table", "--surface", "p2", "--bound", "2"])
     rows = capsys.readouterr().out.splitlines()
     assert [row.split("\t")[0] for row in rows] == ["0,0,0,0", "0,0,0,2"]
+
+
+def test_table_jobs_below_one_rejected(capsys):
+    for jobs in ("0", "-3"):
+        code, out, err = run_cli(capsys, "table", "--surface", "p2", "--bound", "2",
+                                 "--jobs", jobs)
+        assert code == 2 and out == ""
+        assert err == "error: --jobs must be at least 1\n"
+
+
+class ClosedAfter:
+    """A stdout whose reader goes away after `rows` lines: every later
+    write raises BrokenPipeError."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.text = ""
+
+    def write(self, text):
+        if self.text.count("\n") >= self.rows:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.text += text
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_table_broken_pipe_exits_141_quietly(capsys, monkeypatch, jobs):
+    import sys
+
+    import quadrica.cli as cli
+    table_row = cli._table_row
+    computed, cancelled = [], []
+
+    def counted_row(job):
+        computed.append(job)
+        return table_row(job)
+
+    class LazyPool:
+        """Stands in for ProcessPoolExecutor: maps lazily in this process,
+        and on leaving computes every row not cancelled, as the real pool's
+        shutdown(wait=True) waits for every submitted row."""
+
+        def __init__(self, max_workers):
+            self.rows = iter(())
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            if not cancelled:
+                list(self.rows)
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            self.rows = map(fn, items)
+            return self.rows
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            cancelled.append(cancel_futures)
+
+    monkeypatch.setattr(cli, "_table_row", counted_row)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", LazyPool)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    reader = ClosedAfter(2)
+    monkeypatch.setattr(sys, "stdout", reader)
+    code = main(["table", "--surface", "p2", "--bound", "4", "--jobs", jobs])
+    quiet = sys.stdout
+    assert quiet is not reader
+    quiet.write("the interpreter's final flush goes here\n")
+    quiet.flush()
+    quiet.close()
+    assert code == 141 and capsys.readouterr().err == ""
+    assert [row.split("\t")[0] for row in reader.text.splitlines()] == [
+        "0,0,0,0", "0,0,0,2"]
+    assert len(computed) == 3          # the row whose print failed, and no more
+    assert cancelled == ([True] if jobs == "2" else [])

@@ -103,6 +103,31 @@ def test_homogenize_roundtrip(p2, p1xp1, Fb, hpoly):
     assert homogenize(p1xp1, dehomogenize(p1xp1, hpoly)) == hpoly
 
 
+def _count_products(monkeypatch):
+    """Wrap Poly.__mul__ and its __rmul__ alias; return the live count."""
+    calls = [0]
+    mul = Poly.__mul__
+
+    def counted(a, b):
+        calls[0] += 1
+        return mul(a, b)
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    monkeypatch.setattr(Poly, "__rmul__", counted)
+    return calls
+
+
+def test_dehomogenize_and_compose_build_few_products(monkeypatch, p2, F):
+    from quadrica.funfield import _compose
+    p, chart = (parse_poly(text, P2_VARS) for text in (
+        "x^5*y^3*z^2+3*x*y*z^8-x^10", "x^5*y^3+3*x*y-x^10"))
+    coords = parametrize(prime_divisor(p2, F)).coords
+    calls = _count_products(monkeypatch)
+    assert dehomogenize(p2, p) == chart
+    assert calls[0] == 0       # the term-by-term loop made 27
+    assert _compose(F, coords).is_zero()
+    assert calls[0] <= 12      # each power of a coordinate built once; was 27
+
+
 def test_valuation_along(p2, Fb, xyz):
     x, y, z = xyz
     dz = prime_divisor(p2, z)

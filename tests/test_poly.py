@@ -606,3 +606,179 @@ def test_float_coefficients_rejected(F):
         F * 0.5
     with pytest.raises(PolyError):
         F + 1.0
+
+
+# ------------------------------------------- substitution and composition paths
+
+
+def reference_substitute(p, bindings):
+    """The term-by-term substitution loop the kernel had before its scalar
+    path and `compose`: every term rebuilt by Poly products."""
+    vs = p.variables
+    vals = []
+    for name in vs:
+        b = bindings.get(name)
+        vals.append(Poly.var(vs, name) if b is None
+                    else b if isinstance(b, Poly) else Poly.const(vs, b))
+    acc = Poly.zero(vs)
+    for exps, c in p._terms.items():
+        t = Poly.const(vs, c)
+        for v, e in zip(vals, exps):
+            if e:
+                t = t * v ** e
+        acc = acc + t
+    return acc
+
+
+def reference_compose(p, images, variables):
+    """The evaluation loop `funfield._compose` had before `compose`."""
+    acc = Poly.zero(variables)
+    one = Poly.const(variables, 1)
+    for e, c in p._terms.items():
+        term = one * c
+        for k, exp in enumerate(e):
+            if exp:
+                term = term * images[k] ** exp
+        acc = acc + term
+    return acc
+
+
+def _printed_once(p):
+    """str(p) is kept and equals the format of a fresh copy of the term map."""
+    text = str(p)
+    return p._str is text is str(p) and text == str(Poly(p.variables, p._terms))
+
+
+SCALARS = (0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(4, 1))
+DOMAINS = (P2_VARS, P1XP1_VARS, ("t",))
+
+
+def _random_bindings(rng, variables, with_polys):
+    names = rng.sample(variables, rng.randint(1, len(variables)))
+    return {name: (_random_mixed_poly(rng, variables, max_terms=3, max_exp=2)
+                   if with_polys and rng.random() < 0.6 else rng.choice(SCALARS))
+            for name in names}
+
+
+def test_substitute_and_compose_match_reference_loops():
+    from quadrica.poly import compose
+    rng = random.Random(2024)
+    for _ in range(120):
+        vs = rng.choice(DOMAINS)
+        p = _random_mixed_poly(rng, vs, max_terms=6, max_exp=3)
+        for with_polys in (False, True):
+            bindings = _random_bindings(rng, vs, with_polys)
+            got, want = p.substitute(bindings), reference_substitute(p, bindings)
+            assert got == want, (p, bindings)
+            assert _stored_canonically(got) and _printed_once(got) and str(got) == str(want)
+        target = rng.choice(DOMAINS)
+        images = [_random_mixed_poly(rng, target, max_terms=3, max_exp=2) for _ in vs]
+        got, want = compose(p, images, target), reference_compose(p, images, target)
+        assert got == want, (p, images)
+        assert _stored_canonically(got) and _printed_once(got) and str(got) == str(want)
+
+
+def test_scalar_substitution_examples(F):
+    assert F.substitute({"z": 0}) == parse_poly("x^2-2*x*y+y^2", P2_VARS)
+    assert F.substitute({"x": 0, "y": 0, "z": 0}).is_zero()
+    assert F.substitute({"z": Fraction(1, 2)}) == F.substitute(
+        {"z": Poly.const(P2_VARS, Fraction(1, 2))})
+    half = F.substitute({"x": Fraction(1, 2), "y": 2, "z": Fraction(3, 2)})
+    assert half.constant_value() == Fraction(1, 4) + 4 + Fraction(9, 4) - 2 * (
+        1 + Fraction(3, 4) + 3)
+    with pytest.raises(PolyError):
+        F.substitute({"z": 0.5})
+    with pytest.raises(PolyError):
+        F.substitute({"w": 1})
+
+
+def test_compose_rejects_mismatched_images(F):
+    from quadrica.poly import compose
+    t = Poly.var(("t",), "t")
+    with pytest.raises(PolyError):
+        compose(F, [t, t], ("t",))
+    with pytest.raises(PolyError):
+        compose(F, [t, t, Poly.var(P2_VARS, "x")], ("t",))
+
+
+def test_substitute_and_compose_match_sympy_oracle():
+    sympy = pytest.importorskip("sympy")
+    from quadrica.poly import compose
+    rng = random.Random(4242)
+
+    def expr(q, gens):
+        return _to_sympy(sympy, q, gens).as_expr()
+
+    for _ in range(30):
+        vs = rng.choice(DOMAINS)
+        gens = sympy.symbols(vs)
+        p = _random_mixed_poly(rng, vs, max_terms=5, max_exp=3)
+        for with_polys in (False, True):
+            bindings = _random_bindings(rng, vs, with_polys)
+            subs = {gens[vs.index(name)]: expr(b, gens) if isinstance(b, Poly)
+                    else sympy.Rational(b.numerator, b.denominator)
+                    for name, b in bindings.items()}
+            want = sympy.expand(expr(p, gens).subs(subs, simultaneous=True))
+            assert sympy.expand(expr(p.substitute(bindings), gens) - want) == 0, (p, bindings)
+        target = rng.choice(DOMAINS)
+        tgens = sympy.symbols(target)
+        images = [_random_mixed_poly(rng, target, max_terms=3, max_exp=2) for _ in vs]
+        # rename the source variables first, so that shared names do not clash
+        dummies = sympy.symbols(f"s0:{len(vs)}")
+        renamed = expr(p, gens).subs(dict(zip(gens, dummies)), simultaneous=True)
+        want = sympy.expand(renamed.subs({d: expr(q, tgens) for d, q in zip(dummies, images)}))
+        assert sympy.expand(expr(compose(p, images, target), tgens) - want) == 0, (p, images)
+
+
+F_TEXT_EXPANDED = "x^2-2*x*y-2*x*z+y^2-2*y*z+z^2"
+
+
+def test_equal_polynomials_print_alike(F, xyz):
+    x, y, z = xyz
+    routes = [
+        F,
+        parse_poly("(x-y)^2+z^2-2*z*(x+y)", P2_VARS),
+        (x - y) ** 2 + z * z - (x + y) * z * 2,
+        F.substitute({"x": x, "y": y, "z": z}),
+        Poly(P2_VARS, {e: c for e, c in reversed(list(F.terms()))}),
+    ]
+    assert all(q == F and str(q) == str(F) == F_TEXT_EXPANDED for q in routes)
+    assert format_poly(F) is str(F)
+
+
+
+def test_power_starts_from_the_base():
+    rng = random.Random(55)
+    for _ in range(40):
+        vs = rng.choice(DOMAINS)
+        p = _random_mixed_poly(rng, vs)
+        assert p ** 0 == Poly.const(vs, 1)
+        assert p ** 1 == p
+        acc = Poly.const(vs, 1)
+        for k in range(1, 6):
+            acc = acc * p
+            assert p ** k == acc and _printed_once(p ** k)
+    assert Poly.zero(P2_VARS) ** 0 == Poly.const(P2_VARS, 1)
+    assert (Poly.zero(P2_VARS) ** 3).is_zero()
+
+
+def test_ratfn_constant_denominator_matches_gcd_path(F, xyz):
+    from quadrica.poly import normalized_with_unit
+    x, y, _ = xyz
+
+    def reference(num, den):
+        """RatFn's reduction with the gcd taken whatever the denominator."""
+        if num.is_zero():
+            return num, Poly.const(num.variables, 1)
+        g = poly_gcd(num, den)
+        if not g.is_constant():
+            num, den = exact_div(num, g), exact_div(den, g)
+        unit, den = normalized_with_unit(den)
+        return num * (1 / unit), den
+
+    for num in (F, x * y - 3, F * Fraction(2, 3), Poly.zero(P2_VARS)):
+        for c in (1, 6, -4, Fraction(3, 5), Fraction(-7, 2)):
+            den = Poly.const(P2_VARS, c)
+            r = RatFn(num, den)
+            assert (r.num, r.den) == reference(num, den), (num, c)
+            assert _stored_canonically(r.num) and r.den == Poly.const(P2_VARS, 1)
