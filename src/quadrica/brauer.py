@@ -15,12 +15,6 @@ Residue profiles are products of pair profiles: a symbol is bilinear and
 constants are squares over C, so a class is a mod-2 sum of symbols (p, q)
 of distinct chart primes, and the profile of each pair is computed once,
 by tame_residue, and memoized per surface.
-
-Equality of classes is decided by total residue triviality on the fixed
-rational model: the unramified 2-torsion Brauer group of P^2 and of
-P^1 x P^1 vanishes, so a class with empty residue profile is zero.  The
-test is documented as model-dependent and is not claimed beyond these
-two surfaces.
 """
 
 from __future__ import annotations
@@ -163,11 +157,3 @@ def residue_profile(u: BrauerClass, s: SurfaceModel) -> ResidueProfile:
     return ResidueProfile(tuple(sorted(
         ((c, r) for c, r in acc.items() if not r.is_trivial), key=lambda cr: str(cr[0]))))
 
-
-def is_unramified_over_C(u: BrauerClass, s: SurfaceModel) -> bool:
-    return residue_profile(u, s).is_empty
-
-
-def classes_equal(u: BrauerClass, v: BrauerClass, s: SurfaceModel) -> bool:
-    """Equality in H^2(K, mu_2 x mu_2), decided on the rational model."""
-    return is_unramified_over_C(add_classes(u, v), s)

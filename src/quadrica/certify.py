@@ -33,7 +33,7 @@ from .funfield import (
     hensel_report,
     surface,
 )
-from .poly import Poly, PolyError, RatFn, format_poly
+from .poly import Poly, PolyError, RatFn
 from .quadform import (
     BundleType,
     DiagForm,
@@ -533,9 +533,9 @@ def certificate_json(cert: Certificate) -> dict:
         "surface": cert.input_type.surface_kind,
         "input_type": [list(p) if isinstance(p, tuple) else p for p in cert.input_type.data],
         "rule": cert.rule,
-        "degeneration": [format_poly(e) for e in cert.degeneration.entries],
-        "weak_bundle": {"ok": cert.weak_bundle_ok, "gcd": format_poly(cert.weak_gcd)},
-        "fiber": [format_poly(e) for e in cert.fiber.entries],
+        "degeneration": [str(e) for e in cert.degeneration.entries],
+        "weak_bundle": {"ok": cert.weak_bundle_ok, "gcd": str(cert.weak_gcd)},
+        "fiber": [str(e) for e in cert.fiber.entries],
         "similarity": {
             "scale": str(sim.scale),
             "square_factors": [str(q) for q in sim.square_factors],
@@ -543,7 +543,7 @@ def certificate_json(cert: Certificate) -> dict:
             "permutation": list(sim.permutation),
         },
         "discriminant": {
-            "support": [format_poly(q) for q in sorted(
+            "support": [str(q) for q in sorted(
                 cert.discriminant.support, key=lambda q: (q.total_degree(), str(q)))],
             "nontrivial": not cert.discriminant.is_trivial,
         },
@@ -583,9 +583,13 @@ def certificate_json(cert: Certificate) -> dict:
     }
 
 
-def certificate_digest(cert: Certificate) -> str:
-    payload = json.dumps(certificate_json(cert), sort_keys=True, separators=(",", ":"))
+def _digest(blob: dict) -> str:
+    payload = json.dumps(blob, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def certificate_digest(cert: Certificate) -> str:
+    return _digest(certificate_json(cert))
 
 
 def verdict_json(v: Verdict) -> dict:
@@ -597,8 +601,8 @@ def verdict_json(v: Verdict) -> dict:
         "notes": list(v.notes),
     }
     if v.certificate is not None:
-        out["certificate"] = certificate_json(v.certificate)
-        out["digest"] = certificate_digest(v.certificate)
+        blob = out["certificate"] = certificate_json(v.certificate)
+        out["digest"] = _digest(blob)
     return out
 
 

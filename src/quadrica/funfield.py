@@ -25,12 +25,12 @@ from .poly import (
     PolyError,
     RatFn,
     as_ratfn,
+    block_degree,
     compose,
     det3,
     divide_out,
     exact_div,
     factor,
-    format_poly,
     gram_matrix,
     is_irreducible,
     normalize,
@@ -83,9 +83,7 @@ def _block_indices(s: SurfaceModel) -> list[list[int]]:
 def model_degree(s: SurfaceModel, p: Poly) -> tuple[int, ...] | None:
     """The degree of p in each grading block; None when p is zero or not
     (bi)homogeneous."""
-    blocks = _block_indices(s)
-    degs = {tuple(sum(e[i] for i in b) for b in blocks) for e in p._terms}
-    return degs.pop() if len(degs) == 1 else None
+    return block_degree(p, _block_indices(s))
 
 
 def is_chart_poly(s: SurfaceModel, p: Poly) -> bool:
@@ -156,7 +154,7 @@ class PrimeDivisor:
     poly: Poly  # irreducible, normalized, (bi)homogeneous
 
     def __str__(self) -> str:
-        return format_poly(self.poly)
+        return str(self.poly)
 
     def __repr__(self) -> str:
         return f"PrimeDivisor({self})"
@@ -173,15 +171,6 @@ def prime_divisor(s: SurfaceModel, p: Poly) -> PrimeDivisor:
     if not is_irreducible(q):
         raise PolyError(f"{q} is not irreducible")
     return PrimeDivisor(s, q)
-
-
-def coordinate_divisors(s: SurfaceModel) -> tuple[PrimeDivisor, ...]:
-    return tuple(PrimeDivisor(s, Poly.var(s.variables, v)) for v in s.variables)
-
-
-def valuation_along(f: RatFn | Poly, c: PrimeDivisor) -> int:
-    """Order of vanishing of a chart function along the divisor."""
-    return unit_part(f, c).valuation
 
 
 @dataclass(frozen=True)
@@ -245,7 +234,7 @@ class SquareClass:
         if not self.support:
             return "1"
         return "{" + ", ".join(
-            format_poly(q) for q in sorted(self.support, key=lambda q: (q.total_degree(), str(q)))) + "}"
+            str(q) for q in sorted(self.support, key=lambda q: (q.total_degree(), str(q)))) + "}"
 
 
 def square_class(f: RatFn | Poly) -> SquareClass:
@@ -287,7 +276,7 @@ class CurveClass:
         return CurveClass(square_class_part(self.rep * other.rep))
 
     def __str__(self) -> str:
-        return format_poly(self.rep)
+        return str(self.rep)
 
 
 # -------------------------------------------------------------------- curves

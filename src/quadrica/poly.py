@@ -99,11 +99,11 @@ class Poly:
             cf = _scalar(c)
             if cf == 0:
                 continue
-            e = tuple(int(k) for k in exps)
+            e = tuple(exps)
             if len(e) != n:
                 raise PolyError(f"exponent vector {e} does not match variables {vs}")
-            if any(k < 0 for k in e):
-                raise PolyError(f"negative exponent in {e}")
+            if any(type(k) is not int or k < 0 for k in e):
+                raise PolyError(f"exponents must be non-negative ints, got {e}")
             tm[e] = tm.get(e, 0) + cf
         self.variables = vs
         self._terms = _ints({e: c for e, c in tm.items() if c != 0})
@@ -150,7 +150,7 @@ class Poly:
         for name, k in exps.items():
             if name not in vs:
                 raise PolyError(f"unknown variable {name!r} for {vs}")
-            e[vs.index(name)] = int(k)
+            e[vs.index(name)] = k
         return Poly(vs, {tuple(e): coeff})
 
     def is_zero(self) -> bool:
@@ -376,14 +376,6 @@ def compose(p: Poly, images: Sequence[Poly], variables: Sequence[str]) -> Poly:
     return Poly._raw(vs, _ints({e: c for e, c in out.items() if c}))
 
 
-# ------------------------------------------------------------------ formatting
-
-
-def format_poly(p: Poly) -> str:
-    """Grammar-compatible text: terms in descending graded-lex order."""
-    return str(p)
-
-
 # --------------------------------------------------------------------- parsing
 
 _TOKEN = re.compile(r"(?P<ws>\s+)|(?P<nat>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*^()])")
@@ -551,11 +543,6 @@ def exact_div(p: Poly, d: Poly) -> Poly | None:
             else:
                 rem.pop(te, None)
     return Poly._raw(p.variables, out)
-
-
-def multiplicity(p: Poly, d: Poly) -> int:
-    """Largest k with d^k | p (p nonzero, d non-constant)."""
-    return divide_out(p, d)[0]
 
 
 def divide_out(p: Poly, d: Poly) -> tuple[int, Poly]:
@@ -776,24 +763,11 @@ def _prim_sqrt(p: Poly) -> Poly | None:
 # -------------------------------------------------------------------- degrees
 
 
-def degree_profile(p: Poly, split: tuple[Sequence[str], Sequence[str]] | None = None):
-    """Homogeneous total degree, or the bidegree for a variable split.
-
-    Returns an int (total grading), a pair of ints (bidegree grading), or
-    the string "inhomogeneous" when the terms do not agree.
-    """
-    if p.is_zero():
-        raise PolyError("degree profile of the zero polynomial")
-    if split is None:
-        degs = {sum(e) for e in p._terms}
-        return degs.pop() if len(degs) == 1 else "inhomogeneous"
-    va, vb = split
-    ia = [p.variables.index(v) for v in va]
-    ib = [p.variables.index(v) for v in vb]
-    pairs = {(sum(e[i] for i in ia), sum(e[i] for i in ib)) for e in p._terms}
-    if len(pairs) == 1:
-        return pairs.pop()
-    return "inhomogeneous"
+def block_degree(p: Poly, blocks: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
+    """The degree of p in each block of variable indices; None when p is
+    zero or not graded by the blocks (its terms disagree)."""
+    degs = {tuple(sum(e[i] for i in b) for b in blocks) for e in p._terms}
+    return degs.pop() if len(degs) == 1 else None
 
 
 # -------------------------------------------------------------- factorization
@@ -813,11 +787,11 @@ class FactoredPoly:
         return acc
 
 
+_BIBLOCKS = ((0, 1), (2, 3))
+
+
 def _is_bihomogeneous(p: Poly) -> bool:
-    if len(p.variables) != 4:
-        return False
-    va, vb = p.variables[:2], p.variables[2:]
-    return degree_profile(p, (va, vb)) != "inhomogeneous"
+    return len(p.variables) == 4 and block_degree(p, _BIBLOCKS) is not None
 
 
 def _block_content(p: Poly, group: tuple[int, ...]) -> Poly:
@@ -887,7 +861,7 @@ def _factor_quadratic(s: Poly) -> list[Poly]:
     """Irreducible factors of a square-free total-degree-2 polynomial in at
     most three slots (homogeneous ternary, or arbitrary in <= 2 variables)."""
     eff = s.effective_variables()
-    homogeneous = degree_profile(s) != "inhomogeneous"
+    homogeneous = block_degree(s, (range(len(s.variables)),)) is not None
     if len(eff) > 3 or (len(eff) == 3 and not homogeneous):
         raise FactorError(
             f"quadratic {s} needs more than three slots; outside the supported class")
@@ -924,9 +898,8 @@ def _factor_bihom(s: Poly) -> list[Poly]:
     """Irreducible factors of a square-free bihomogeneous polynomial of
     bidegree at most (2,2) on the 2+2 variable split, with no variable
     factors."""
-    xi, yi = (0, 1), (2, 3)
-    va, vb = s.variables[:2], s.variables[2:]
-    a, b = degree_profile(s, (va, vb))  # type: ignore[misc]
+    xi, yi = _BIBLOCKS
+    a, b = block_degree(s, _BIBLOCKS)  # type: ignore[misc]
     if a > 2 or b > 2:
         raise FactorError(f"bidegree ({a},{b}) exceeds the supported (2,2) bound")
     if a == 0 or b == 0:
@@ -949,7 +922,7 @@ def _factor_bihom(s: Poly) -> list[Poly]:
         return [s]
     # content-free (2,2): the only possible split is (1,1) x (1,1), read off
     # as a quadratic in x0 whose coefficients carry the y-block
-    got = _split_quadratic_by_formula(s, va[0])
+    got = _split_quadratic_by_formula(s, s.variables[0])
     return [s] if got is None else got
 
 
@@ -990,7 +963,7 @@ def factor(p: Poly) -> FactoredPoly:
     if not w.is_constant():
         rad = square_free_part(w)
         for q in _factor_squarefree(rad):
-            facs.append((q, multiplicity(w, q)))
+            facs.append((q, divide_out(w, q)[0]))
     facs.sort(key=lambda t: (t[0].total_degree(), str(t[0])))
     result = FactoredPoly(unit, tuple(facs))
     if result.expand_over(p.variables) != p:
@@ -1083,8 +1056,8 @@ class RatFn:
 
     def __str__(self) -> str:
         if self.den.is_constant() and self.den.constant_value() == 1:
-            return format_poly(self.num)
-        return f"({format_poly(self.num)})/({format_poly(self.den)})"
+            return str(self.num)
+        return f"({self.num})/({self.den})"
 
     def __repr__(self) -> str:
         return f"RatFn({self!s})"
@@ -1092,14 +1065,3 @@ class RatFn:
 
 def as_ratfn(f: RatFn | Poly) -> RatFn:
     return f if isinstance(f, RatFn) else RatFn(f)
-
-
-def valuation(f: RatFn | Poly, pi: Poly) -> int:
-    """Multiplicity of the irreducible pi in the numerator minus its
-    multiplicity in the denominator."""
-    f = as_ratfn(f)
-    if f.is_zero():
-        raise PolyError("valuation of zero is undefined")
-    if not is_irreducible(pi):
-        raise PolyError(f"{pi} is not irreducible")
-    return multiplicity(f.num, pi) - multiplicity(f.den, pi)

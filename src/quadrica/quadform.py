@@ -1,10 +1,9 @@
 """Diagonal quadratic forms over the base surfaces.
 
 Covers bundle types, weak-bundle validity, the generic fiber over the
-affine chart, discriminant and Clifford invariants, the legal rewrite
-moves (global scaling, square absorption, entrywise monomial twists,
-reordering), and the similarity normalizer that recognizes forms whose
-fiber is, up to similarity, the Hassett-Pirutka-Tschinkel quadric
+affine chart, discriminant and Clifford invariants, and the similarity
+normalizer that recognizes forms whose fiber is, up to similarity, the
+Hassett-Pirutka-Tschinkel quadric
 
     < y, x, xy, F(x, y, 1) >,   F = x^2 + y^2 + z^2 - 2(xy + xz + yz).
 
@@ -33,17 +32,11 @@ from .funfield import (
     square_class,
     surface,
 )
-from .poly import (
-    Poly,
-    RatFn,
-    divide_out,
-    parse_poly,
-    square_class_part,
-)
+from .poly import Poly, RatFn, divide_out, parse_poly
 
 
 class QuadformError(Exception):
-    """Invalid form, illegal move, or out-of-class normalizer input."""
+    """Invalid form or out-of-class normalizer input."""
 
 
 # ------------------------------------------------------------ canonical data
@@ -234,64 +227,6 @@ def clifford_invariant(f: DiagForm) -> BrauerClass:
     e0, e1, e2, e3 = (square_class(e) for e in generic_fiber(f).entries)
     a, b = e0 * e1, e0 * e2
     return add_classes(symbol(a, b), symbol(a * b, a * e2 * e3))
-
-
-# -------------------------------------------------------------------- moves
-
-
-@dataclass(frozen=True)
-class Scale:
-    factor: Poly
-
-
-@dataclass(frozen=True)
-class AbsorbSquares:
-    pass
-
-
-@dataclass(frozen=True)
-class Reorder:
-    permutation: tuple[int, int, int, int]
-
-
-@dataclass(frozen=True)
-class MultiplyEntry:
-    index: int
-    monomial: Poly
-
-
-def _require_legal_twist(s: SurfaceModel, m: Poly) -> None:
-    if len(m._terms) != 1:
-        raise QuadformError(f"{m} is not a monomial")
-    for v in s.chart_vars:
-        if m.degree_in(v) % 2:
-            raise QuadformError(
-                f"odd power of chart variable {v} in {m} changes the fiber")
-
-
-def apply_move(f: DiagForm, move) -> DiagForm:
-    """Apply a similarity-class-preserving rewrite move."""
-    s = f.surface
-    if isinstance(move, Scale):
-        lam = move.factor
-        if lam.is_zero():
-            raise QuadformError("scaling by zero")
-        es = tuple(lam * e for e in f.entries)
-    elif isinstance(move, AbsorbSquares):
-        es = tuple(square_class_part(e) for e in f.entries)
-    elif isinstance(move, Reorder):
-        perm = move.permutation
-        if sorted(perm) != [0, 1, 2, 3]:
-            raise QuadformError(f"{perm} is not a permutation of 0..3")
-        es = tuple(f.entries[perm[i]] for i in range(4))
-    elif isinstance(move, MultiplyEntry):
-        _require_legal_twist(s, move.monomial)
-        es = list(f.entries)
-        es[move.index] = es[move.index] * move.monomial
-        es = tuple(es)
-    else:
-        raise QuadformError(f"unknown move {move!r}")
-    return make_affine_form(es, s) if f.affine else make_diag_form(es, s)
 
 
 # --------------------------------------------------------------- normalizer

@@ -2,6 +2,7 @@ import sys
 
 import pytest
 
+from quadrica.brauer import add_classes, residue_profile
 from quadrica.funfield import surface
 from quadrica.poly import Poly, parse_poly
 
@@ -19,6 +20,13 @@ def clear_residue_memos():
     from quadrica.funfield import hensel_report
     _pair_profile.cache_clear()
     hensel_report.cache_clear()
+
+
+def same_class(u, v, s):
+    """Equality of Brauer classes on the rational model s: the unramified
+    2-torsion Brauer group of P^2 and of P^1 x P^1 vanishes, so u = v
+    exactly when u + v has an empty residue profile."""
+    return residue_profile(add_classes(u, v), s).is_empty
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,5 @@
-"""Symbols, tame residues, ramification profiles, and the residue-based
-equality test for two-torsion Brauer classes."""
+"""Symbols, tame residues, ramification profiles, and residue-based
+equality of two-torsion Brauer classes."""
 
 import random
 
@@ -8,16 +8,14 @@ import pytest
 from quadrica.brauer import (
     EMPTY_CLASS,
     add_classes,
-    classes_equal,
-    is_unramified_over_C,
     residue_profile,
     symbol,
     tame_residue,
 )
-from quadrica.funfield import CurveClass, prime_divisor
+from quadrica.funfield import CurveClass, prime_divisor, unit_part
 from quadrica.poly import Poly, PolyError, RatFn, parse_poly
 
-from conftest import P1XP1_VARS, P2_VARS, clear_residue_memos
+from conftest import P1XP1_VARS, P2_VARS, clear_residue_memos, same_class
 
 T = ("t",)
 
@@ -78,22 +76,22 @@ def test_unramified_symbol_with_norm_slot(p2, Fb, xyz):
     assert u * u - y * 4 == Fb
     prof = residue_profile(symbol(y, Fb), p2)
     assert prof.is_empty
-    assert classes_equal(symbol(y, Fb), EMPTY_CLASS, p2)
+    assert same_class(symbol(y, Fb), EMPTY_CLASS, p2)
 
 
 def test_is_unramified_examples(p2, xyz):
     x, y, _ = xyz
-    assert not is_unramified_over_C(symbol(x, y), p2)
-    assert is_unramified_over_C(EMPTY_CLASS, p2)
+    assert not residue_profile(symbol(x, y), p2).is_empty
+    assert residue_profile(EMPTY_CLASS, p2).is_empty
     # (x, x) = (x, -1) and -1 is a square over C
-    assert is_unramified_over_C(symbol(x, x), p2)
+    assert residue_profile(symbol(x, x), p2).is_empty
 
 
 def test_classes_equal_examples(p2, xyz):
     x, y, _ = xyz
-    assert classes_equal(symbol(x, y), symbol(y, x), p2)
-    assert classes_equal(symbol(x * y, x), symbol(y, x), p2)
-    assert not classes_equal(symbol(x, y), EMPTY_CLASS, p2)
+    assert same_class(symbol(x, y), symbol(y, x), p2)
+    assert same_class(symbol(x * y, x), symbol(y, x), p2)
+    assert not same_class(symbol(x, y), EMPTY_CLASS, p2)
 
 
 def test_classes_equal_is_equivalence(p2, Fb, xyz):
@@ -101,15 +99,15 @@ def test_classes_equal_is_equivalence(p2, Fb, xyz):
     classes = [symbol(x, y), symbol(y, x), symbol(x * y, x), symbol(y, Fb),
                EMPTY_CLASS, add_classes(symbol(x, y), symbol(y, Fb))]
     for u in classes:
-        assert classes_equal(u, u, p2)
+        assert same_class(u, u, p2)
     for u in classes:
         for v in classes:
-            assert classes_equal(u, v, p2) == classes_equal(v, u, p2)
+            assert same_class(u, v, p2) == same_class(v, u, p2)
     for u in classes:
         for v in classes:
             for w in classes:
-                if classes_equal(u, v, p2) and classes_equal(v, w, p2):
-                    assert classes_equal(u, w, p2)
+                if same_class(u, v, p2) and same_class(v, w, p2):
+                    assert same_class(u, w, p2)
 
 
 def _pool(rng, chart_quadric, xyz):
@@ -150,7 +148,7 @@ def test_symmetry_randomized(p2, Fb, xyz):
         b = _pool(rng, Fb, xyz)
         if a.is_constant() or b.is_constant():
             continue
-        assert classes_equal(symbol(a, b), symbol(b, a), p2)
+        assert same_class(symbol(a, b), symbol(b, a), p2)
 
 
 def test_p1xp1_residue_properties(p1xp1, hpoly, x4):
@@ -194,19 +192,18 @@ def test_residues_vanish_off_support(p2, F, Fb, xyz):
         res = tame_residue(symbol(a, b), dF)
         assert res.is_trivial or not a.is_constant()
         # off-support skip: both valuations zero means trivial residue
-        from quadrica.funfield import valuation_along
-        if valuation_along(RatFn(a), dF) == 0 and valuation_along(RatFn(b), dF) == 0:
+        if unit_part(a, dF).valuation == 0 and unit_part(b, dF).valuation == 0:
             assert res.is_trivial
 
 
 def reference_tame_residue(u, c):
     """The residue as it was computed before unit parts: restrict
     a^n / b^m for each symbol (a, b) with m = v(a), n = v(b)."""
-    from quadrica.funfield import restrict_unit, valuation_along
+    from quadrica.funfield import restrict_unit
     res = CurveClass.trivial()
     for a, b in u.sorted_symbols():
         fa, fb = RatFn(a), RatFn(b)
-        m, n = valuation_along(fa, c), valuation_along(fb, c)
+        m, n = unit_part(fa, c).valuation, unit_part(fb, c).valuation
         if m == 0 and n == 0:
             continue
         res = res * CurveClass.from_ratfn(restrict_unit(fa ** n / fb ** m, c))
@@ -216,9 +213,9 @@ def reference_tame_residue(u, c):
 def reference_candidate_divisors(u, s):
     """Factors of all symbol entries, homogenized, plus the coordinate
     divisors of the model (residues vanish along everything else)."""
-    from quadrica.funfield import coordinate_divisors, homogenize, require_chart
+    from quadrica.funfield import homogenize, require_chart
     from quadrica.poly import factor
-    divs = set(coordinate_divisors(s))
+    divs = {prime_divisor(s, Poly.var(s.variables, v)) for v in s.variables}
     for a, b in u.symbols:
         for slot in (a, b):
             require_chart(s, slot)
@@ -353,10 +350,10 @@ def test_tame_residue_restricts_no_quotient(p2, Fb, xyz, count_calls):
     import quadrica.funfield as funfield
     x, y, z = xyz
     u = add_classes(symbol(x, y), symbol(x * y, Fb))
-    counts = count_calls(funfield, "restrict_unit", "valuation_along")
+    counts = count_calls(funfield, "restrict_unit")
     for q in (x, y, z):
         tame_residue(u, prime_divisor(p2, q))
-    assert counts == {"restrict_unit": 0, "valuation_along": 0}
+    assert counts == {"restrict_unit": 0}
 
 
 def test_pair_profile_skips_coordinate_divisors_off_the_pair(p2, F, Fb, xyz, monkeypatch):

@@ -25,6 +25,7 @@ from quadrica.certify import (
     replay_certificate,
     select_rule,
     verdict_for,
+    verdict_json,
     verdict_p1xp1,
     verdict_p2,
 )
@@ -332,6 +333,15 @@ def test_certificate_json_roundtrip():
     assert len(data["pirutka"]["rows"]) == 3
     assert data["arason"]["passed"] is True
     assert len(certificate_digest(cert)) == 16
+
+
+def test_verdict_json_builds_the_certificate_json_once(count_calls):
+    import quadrica.certify as certify
+    v = verdict_for("p2", (2, 2, 2, 2))
+    counts = count_calls(certify, "certificate_json")
+    out = verdict_json(v)
+    assert counts == {"certificate_json": 1}
+    assert out["digest"] == certificate_digest(v.certificate)
 
 
 # --------------------------------------------------------- p1xp1 verdicts

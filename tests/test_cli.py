@@ -153,9 +153,13 @@ def test_invariants_homogeneous(capsys):
     assert "fiber: <y, x, x*y," in out
 
 
-def test_table_bound_guard(capsys):
-    code, _, err = run_cli(capsys, "table", "--surface", "p2", "--bound", "21")
-    assert code == 2
+def test_table_bound_guard(capsys, count_calls):
+    import quadrica.certify as certify
+    counts = count_calls(certify, "enumerate_types")
+    for surface_kind, bound, limit in (("p2", 21, 20), ("p1xp1", 13, 12)):
+        code, _, err = run_cli(capsys, "table", "--surface", surface_kind, "--bound", str(bound))
+        assert code == 2 and f"0..{limit}" in err
+    assert counts == {"enumerate_types": 0}
 
 
 def test_table_bound_zero(capsys):

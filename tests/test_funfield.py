@@ -8,7 +8,6 @@ import pytest
 from quadrica.funfield import (
     CurveClass,
     UnsupportedCurveError,
-    coordinate_divisors,
     dehomogenize,
     hensel_report,
     homogenize,
@@ -17,7 +16,6 @@ from quadrica.funfield import (
     restrict_unit,
     square_class,
     unit_part,
-    valuation_along,
 )
 from quadrica.poly import Poly, PolyError, RatFn, parse_poly
 
@@ -91,11 +89,6 @@ def test_prime_divisor_validation(p2, F, xyz):
     assert d.poly == F                     # normalized
 
 
-def test_coordinate_divisors(p2, p1xp1):
-    assert [str(c) for c in coordinate_divisors(p2)] == ["x", "y", "z"]
-    assert [str(c) for c in coordinate_divisors(p1xp1)] == ["x0", "x1", "y0", "y1"]
-
-
 def test_homogenize_roundtrip(p2, p1xp1, Fb, hpoly):
     assert homogenize(p2, Fb) == parse_poly(
         "x^2+y^2+z^2-2*(x*y+x*z+y*z)", P2_VARS)
@@ -132,10 +125,10 @@ def test_valuation_along(p2, Fb, xyz):
     x, y, z = xyz
     dz = prime_divisor(p2, z)
     dx = prime_divisor(p2, x)
-    assert valuation_along(RatFn(x), dz) == -1
-    assert valuation_along(RatFn(Fb), dz) == -2
-    assert valuation_along(RatFn(Fb), dx) == 0
-    assert valuation_along(RatFn(x ** 2 * y ** 2 * Fb), dx) == 2
+    assert unit_part(RatFn(x), dz).valuation == -1
+    assert unit_part(RatFn(Fb), dz).valuation == -2
+    assert unit_part(RatFn(Fb), dx).valuation == 0
+    assert unit_part(RatFn(x ** 2 * y ** 2 * Fb), dx).valuation == 2
 
 
 # ------------------------------------------------------------- parametrize
@@ -323,7 +316,7 @@ def reference_parametrize(c):
                                    _int_coeffs, _line_points, _normalize_int_vector,
                                    _reduce_pair, _search_conic_point, _to_plane,
                                    _verify_param)
-    from quadrica.poly import degree_profile
+    from quadrica.poly import block_degree
     s = c.surface
     t = Poly.var(T, "t")
     one = Poly.const(T, 1)
@@ -342,7 +335,7 @@ def reference_parametrize(c):
             raise UnsupportedCurveError(f"degree-{d} curve {c} on p2 is unsupported")
         _verify_param(c, param.coords)
         return param
-    bd = degree_profile(c.poly, (("x0", "x1"), ("y0", "y1")))
+    bd = block_degree(c.poly, ((0, 1), (2, 3)))
     if bd == (1, 0):
         a, b = _int_coeffs(c.poly, ("x0", "x1"))
         pt = _normalize_int_vector((b, -a))
@@ -384,7 +377,7 @@ def reference_on_curve(pn, pd, c):
 def reference_hensel_report(d, c):
     """The Hensel test with one padding branch per surface."""
     from quadrica.funfield import HenselWitness, _padding_form
-    from quadrica.poly import degree_profile
+    from quadrica.poly import block_degree
     s = c.surface
     v, pn, pd = reference_unit_part(d, c)
     if v % 2 != 0:
@@ -394,7 +387,7 @@ def reference_hensel_report(d, c):
         blocks = [("z", "x", "y")]
     else:
         blocks = [("x0", "x1"), ("y0", "y1")]
-        dn, dd = degree_profile(pn, blocks), degree_profile(pd, blocks)
+        dn, dd = block_degree(pn, ((0, 1), (2, 3))), block_degree(pd, ((0, 1), (2, 3)))
         diffs = [dn[0] - dd[0], dn[1] - dd[1]]
     for diff, block in zip(diffs, blocks):
         pad = _padding_form(s, c.poly, block)
@@ -443,7 +436,6 @@ def test_grading_matches_two_branch_reference(monkeypatch):
         assert qn * pd == pn * qd
         assert model_degree(s, pn) == model_degree(s, pd) is not None
         v, un, ud = reference_unit_part(f, c)
-        assert valuation_along(f, c) == v
         u = unit_part(f, c)
         assert u.valuation == v and un * u.pair[1] == u.pair[0] * ud
         if v == 0:

@@ -1,5 +1,5 @@
-"""Diagonal forms: types, weak bundles, fibers, invariants, moves, and the
-similarity normalizer."""
+"""Diagonal forms: types, weak bundles, fibers, invariants under
+similarity-preserving rewrites, and the similarity normalizer."""
 
 import random
 import re
@@ -7,17 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from quadrica.brauer import EMPTY_CLASS, add_classes, classes_equal, symbol
+from quadrica.brauer import EMPTY_CLASS, add_classes, symbol
 from quadrica.funfield import square_class
-from quadrica.poly import Poly, parse_poly
+from quadrica.poly import Poly, parse_poly, square_class_part
 from quadrica.quadform import (
-    AbsorbSquares,
     BundleType,
-    MultiplyEntry,
     QuadformError,
-    Reorder,
-    Scale,
-    apply_move,
     canonical_quadric,
     chart_quadric,
     clifford_invariant,
@@ -34,7 +29,7 @@ from quadrica.quadform import (
     weak_gcd,
 )
 
-from conftest import P1XP1_VARS, P2_VARS
+from conftest import P1XP1_VARS, P2_VARS, same_class
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
@@ -135,7 +130,7 @@ def test_clifford_invariant_hpt(p2, Fb, xyz):
     # scaling by y gives <1, xy, x, yF>: a = xy, b = x, d = F;
     # (xy, x) + (x^2 y, F) = (x, y) + (y, F) over C
     want = add_classes(symbol(x, y), symbol(y, Fb))
-    assert classes_equal(cl, want, p2)
+    assert same_class(cl, want, p2)
 
 
 def test_clifford_split_form(p2):
@@ -150,14 +145,13 @@ def test_clifford_scale_law(p2, Fb, xyz):
     base = clifford_invariant(fib)
     d_rep = discriminant(fib).representative()
     for lam in (x, y, x * y, Fb, x * y ** 2):
-        scaled = clifford_invariant(apply_move(fib, Scale(lam)))
-        assert classes_equal(add_classes(scaled, base), symbol(lam, d_rep), p2)
+        scaled = clifford_invariant(make_affine_form([lam * e for e in fib.entries], p2))
+        assert same_class(add_classes(scaled, base), symbol(lam, d_rep), p2)
 
 
 def reference_discriminant(f):
     """The discriminant's representative as the gcd-based square-class
     part of the expanded product."""
-    from quadrica.poly import square_class_part
     e0, e1, e2, e3 = generic_fiber(f).entries
     return square_class_part(e0 * e1 * e2 * e3)
 
@@ -165,7 +159,6 @@ def reference_discriminant(f):
 def reference_clifford_invariant(f):
     """The Clifford invariant from gcd-based square-class parts of products
     of the entries."""
-    from quadrica.poly import square_class_part
     e0, e1, e2, e3 = generic_fiber(f).entries
     a = square_class_part(e0 * e1)
     b = square_class_part(e0 * e2)
@@ -208,38 +201,39 @@ def test_invariants_run_no_gcd_square_class(p2, p1xp1, count_calls):
 
 
 def test_moves(p2, Fb, xyz):
+    # absorbing squares entrywise keeps both invariants
     x, y, _ = xyz
     form = make_affine_form((y ** 2, x * y, x * y ** 2, y ** 2 * Fb), p2)
-    absorbed = apply_move(form, AbsorbSquares())
+    absorbed = make_affine_form([square_class_part(e) for e in form.entries], p2)
     assert absorbed.entries == (one(), x * y, x, Fb)
-    reordered = apply_move(make_affine_form((y, x * y, x, Fb), p2), Reorder((2, 1, 0, 3)))
-    assert reordered.entries == (x, x * y, y, Fb)
-    with pytest.raises(QuadformError, match="odd power"):
-        apply_move(form, MultiplyEntry(3, x))
-    twisted = apply_move(form, MultiplyEntry(3, x ** 2))
-    assert twisted.entries[3] == x ** 2 * y ** 2 * Fb
+    assert discriminant(absorbed) == discriminant(form)
+    assert clifford_invariant(absorbed) == clifford_invariant(form)
 
 
 def test_boundary_twists_on_p1xp1(p1xp1, hpoly, x4):
     x0, x1, y0, y1 = x4
     form = make_diag_form((x0 * y0, x0 * y1, x1 * y0, x1 * y1 * hpoly), p1xp1)
-    # arbitrary boundary powers are legal moves
-    t2 = apply_move(form, MultiplyEntry(0, x0 * y0 ** 3))
+    # arbitrary boundary powers keep the fiber
+    es = form.entries
+    t2 = make_diag_form((es[0] * x0 * y0 ** 3, *es[1:]), p1xp1)
+    assert generic_fiber(t2) == generic_fiber(form)
     assert type_of(t2).data[0] == (1, 1)  # sorted; entry 0 now has bidegree (2,4)
-    with pytest.raises(QuadformError):
-        apply_move(form, MultiplyEntry(1, x1))
 
 
 def test_discriminant_invariant_under_moves(p2, Fb, xyz):
     rng = random.Random(12)
     x, y, _ = xyz
     fib = make_affine_form((y, x, x * y, Fb), p2)
-    moves = [Scale(x), Scale(y * x), AbsorbSquares(), Reorder((3, 1, 0, 2)),
-             MultiplyEntry(1, x ** 2), MultiplyEntry(2, y ** 4)]
+    moves = [lambda es: [x * e for e in es],
+             lambda es: [y * x * e for e in es],
+             lambda es: [square_class_part(e) for e in es],
+             lambda es: (es[3], es[1], es[0], es[2]),
+             lambda es: (es[0], x ** 2 * es[1], es[2], es[3]),
+             lambda es: (es[0], es[1], y ** 4 * es[2], es[3])]
     d0 = discriminant(fib)
     form = fib
     for _ in range(40):
-        form = apply_move(form, moves[rng.randrange(len(moves))])
+        form = make_affine_form(moves[rng.randrange(len(moves))](form.entries), p2)
         assert discriminant(form) == d0
 
 
@@ -288,12 +282,18 @@ def move_closure_forms(p2, Fb, xyz):
     rng = random.Random(77)
     x, y, _ = xyz
     fib = make_affine_form((y, x, x * y, Fb), p2)
-    moves = [Scale(x), Scale(y), AbsorbSquares(), Reorder((1, 0, 3, 2)),
-             Reorder((2, 3, 0, 1)), MultiplyEntry(0, x ** 2), MultiplyEntry(3, y ** 2),
-             Scale(3 * x), MultiplyEntry(1, 5 * x ** 2)]
+    moves = [lambda es: [x * e for e in es],
+             lambda es: [y * e for e in es],
+             lambda es: [square_class_part(e) for e in es],
+             lambda es: (es[1], es[0], es[3], es[2]),
+             lambda es: (es[2], es[3], es[0], es[1]),
+             lambda es: (x ** 2 * es[0], es[1], es[2], es[3]),
+             lambda es: (es[0], es[1], es[2], y ** 2 * es[3]),
+             lambda es: [3 * x * e for e in es],
+             lambda es: (es[0], 5 * x ** 2 * es[1], es[2], es[3])]
     form = fib
     for _ in range(25):
-        form = apply_move(form, moves[rng.randrange(len(moves))])
+        form = make_affine_form(moves[rng.randrange(len(moves))](form.entries), p2)
         yield form
 
 
@@ -380,7 +380,7 @@ def test_type_shift_under_entry_twist(p1xp1, hpoly, x4):
     form = make_diag_form((x0 * y0, x0 * y1, x1 * y0, x1 * y1 * hpoly), p1xp1)
     old = list(type_of(form).data)
     m = x0 ** 2 * y0
-    twisted = apply_move(form, MultiplyEntry(1, m))
+    twisted = make_diag_form((form.entries[0], form.entries[1] * m, *form.entries[2:]), p1xp1)
     new = list(type_of(twisted).data)
     old.remove((1, 1))
     new.remove((1 + 2, 1 + 1))
