@@ -32,7 +32,7 @@ from .funfield import (
     require_chart,
     unit_part,
 )
-from .poly import Poly, PolyError, RatFn, as_ratfn, factor, square_class_part
+from .poly import Poly, PolyError, factor, square_class_part
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class BrauerClass:
 EMPTY_CLASS = BrauerClass(frozenset())
 
 
-def symbol(a: SquareClass | RatFn | Poly, b: SquareClass | RatFn | Poly) -> BrauerClass:
+def symbol(a: SquareClass | Poly, b: SquareClass | Poly) -> BrauerClass:
     """The one-symbol class (a, b); trivial slots collapse it to zero.  A
     SquareClass slot is taken as its representative, which is already the
     canonical square-free form."""
@@ -63,13 +63,12 @@ def symbol(a: SquareClass | RatFn | Poly, b: SquareClass | RatFn | Poly) -> Brau
     return BrauerClass(frozenset({(ra, rb)}))
 
 
-def _slot(f: SquareClass | RatFn | Poly) -> Poly:
+def _slot(f: SquareClass | Poly) -> Poly:
     if isinstance(f, SquareClass):
         return f.representative()
-    f = as_ratfn(f)
     if f.is_zero():
         raise PolyError("symbol entries must be nonzero")
-    return square_class_part(f.num * f.den)
+    return square_class_part(f)
 
 
 def add_classes(u: BrauerClass, v: BrauerClass) -> BrauerClass:

@@ -20,7 +20,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Callable
+from heapq import merge
+from itertools import combinations_with_replacement, permutations, product
+from typing import Callable, Iterator
 
 from . import __version__ as ENGINE_VERSION
 from .brauer import BrauerClass, ResidueProfile, residue_profile
@@ -33,7 +35,7 @@ from .funfield import (
     hensel_report,
     surface,
 )
-from .poly import Poly, PolyError, RatFn
+from .poly import Poly, PolyError
 from .quadform import (
     BundleType,
     DiagForm,
@@ -119,7 +121,7 @@ def pirutka_check(disc: SquareClass, alpha_prof: ResidueProfile,
     discriminant must become a square in the completed local ring."""
     problems: list[str] = []
     divisors = sorted(set(alpha_prof.divisors()) | set(beta_prof.divisors()), key=str)
-    d_rep = RatFn(disc.representative())
+    d_rep = disc.representative()
     rows: list[PirutkaRow] = []
     for c in divisors:
         try:
@@ -343,8 +345,6 @@ def _cor53_form(t: BundleType, rule: str) -> DiagForm:
     divisible by no variable and sits in one entry, so the entries are
     coprime iff no variable divides all four monomial parts: candidates
     are screened on exponents and only a possible winner is built."""
-    from itertools import permutations, product
-
     s = surface("p1xp1")
     h = canonical_quadric(s)
     bases = _COR53_BASES[rule]
@@ -609,15 +609,15 @@ def verdict_json(v: Verdict) -> dict:
 # -------------------------------------------------------------- enumeration
 
 
-def enumerate_types(surface_kind: str, bound: int) -> list[tuple]:
+def enumerate_types(surface_kind: str, bound: int) -> Iterator[tuple]:
     """All lexicographically ordered parity-valid types with every degree
-    <= bound: for each vector of per-block parities, the 4-multisets of
-    components with those parities.  A P^2 component is a bare int."""
-    from itertools import combinations_with_replacement, product
+    <= bound, lazily in lexicographic order: the sorted streams of
+    4-multisets of components, one per vector of per-block parities, are
+    merged.  A P^2 component is a bare int."""
     n = len(surface(surface_kind).blocks)
-    out = []
+    streams = []
     for parities in product((0, 1), repeat=n):
         ranges = (range(p, bound + 1, 2) for p in parities)
         comps = [c if n > 1 else c[0] for c in product(*ranges)]
-        out.extend(combinations_with_replacement(comps, 4))
-    return sorted(out)
+        streams.append(combinations_with_replacement(comps, 4))
+    return merge(*streams)

@@ -197,8 +197,8 @@ def cmd_table(args) -> int:
     if args.jobs < 1:
         print("error: --jobs must be at least 1", file=sys.stderr)
         return 2
-    jobs = [(args.surface, data, args.output)
-            for data in enumerate_types(args.surface, args.bound)]
+    jobs = ((args.surface, data, args.output)
+            for data in enumerate_types(args.surface, args.bound))
     workers = min(args.jobs, _usable_cpus())
     # rows come back in enumeration order, which is already canonical
     try:

@@ -2,10 +2,11 @@
 
 The function field K of the surface is presented through its affine
 chart: on P^2 the chart z=1 with coordinates (x, y), on P^1 x P^1 the
-chart x0=y0=1 with coordinates (x1, y1).  Elements of K are reduced
-fractions of chart polynomials; prime divisors are irreducible
-(bi)homogeneous polynomials on the projective model, including the
-chart-boundary divisors.
+chart x0=y0=1 with coordinates (x1, y1).  Every function the engine takes
+on the surface is a chart polynomial; a fraction (RatFn, in the curve
+parameter t) appears only when a unit is restricted to a rational curve.
+Prime divisors are irreducible (bi)homogeneous polynomials on the
+projective model, including the chart-boundary divisors.
 
 The constant field is algebraically closed, so every nonzero rational
 constant is a square: square classes drop constants, and squareness of
@@ -24,7 +25,6 @@ from .poly import (
     Poly,
     PolyError,
     RatFn,
-    as_ratfn,
     block_degree,
     compose,
     det3,
@@ -133,15 +133,11 @@ def _balance(s: SurfaceModel, pn: Poly, pd: Poly,
     return pn, pd
 
 
-def graded_pair(s: SurfaceModel, f: RatFn) -> tuple[Poly, Poly]:
-    """A degree-zero presentation of a chart function: two (bi)homogeneous
-    polynomials of equal (bi)degree with f = first/second on the chart."""
-    num, den = f.num, f.den
-    require_chart(s, num)
-    require_chart(s, den)
-    if num.is_zero():
-        raise PolyError("graded pair of zero")
-    return _balance(s, homogenize(s, num), homogenize(s, den),
+def graded_pair(s: SurfaceModel, f: Poly) -> tuple[Poly, Poly]:
+    """A degree-zero presentation of a chart polynomial: two (bi)homogeneous
+    polynomials of equal (bi)degree with f = first/second on the chart,
+    the second a monomial in the boundary variables."""
+    return _balance(s, homogenize(s, f), Poly.const(s.variables, 1),
                     tuple(Poly.var(s.variables, v) for v in s.boundary_vars))
 
 
@@ -178,7 +174,7 @@ class UnitPart:
     """f = pi^valuation * unit along the divisor pi = 0; the pair is the
     graded pair of f with every power of pi divided out of both members."""
 
-    f: RatFn
+    f: Poly
     divisor: PrimeDivisor
     valuation: int
     pair: tuple[Poly, Poly]
@@ -193,9 +189,8 @@ class UnitPart:
         return RatFn(num_t, den_t)
 
 
-def unit_part(f: RatFn | Poly, c: PrimeDivisor) -> UnitPart:
+def unit_part(f: Poly, c: PrimeDivisor) -> UnitPart:
     """The valuation of f along c and its unit part, from one graded pair."""
-    f = as_ratfn(f)
     if f.is_zero():
         raise PolyError("zero has no valuation or unit part")
     pn, pd = graded_pair(c.surface, f)
@@ -237,18 +232,12 @@ class SquareClass:
             str(q) for q in sorted(self.support, key=lambda q: (q.total_degree(), str(q)))) + "}"
 
 
-def square_class(f: RatFn | Poly) -> SquareClass:
+def square_class(f: Poly) -> SquareClass:
     """Square-free support of f with exponents reduced mod 2, constants
     dropped (they are squares over C)."""
-    f = as_ratfn(f)
     if f.is_zero():
         raise PolyError("zero has no square class")
-    counts: dict[Poly, int] = {}
-    for part in (f.num, f.den):
-        for q, e in factor(part).factors:
-            counts[q] = counts.get(q, 0) + e
-    support = frozenset(q for q, e in counts.items() if e % 2)
-    return SquareClass(f.variables, support)
+    return SquareClass(f.variables, frozenset(q for q, e in factor(f).factors if e % 2))
 
 
 @dataclass(frozen=True)
@@ -504,7 +493,7 @@ def _reduce_pair(w: Poly, u: Poly) -> tuple[Poly, Poly]:
 # ------------------------------------------------------------------ restriction
 
 
-def restrict_unit(f: RatFn | Poly, c: PrimeDivisor) -> RatFn:
+def restrict_unit(f: Poly, c: PrimeDivisor) -> RatFn:
     """Restriction of a unit along c to the curve, as a rational function of
     the curve parameter t."""
     u = unit_part(f, c)
@@ -533,7 +522,7 @@ def _padding_form(s: SurfaceModel, pi: Poly, block: tuple[str, ...]) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def hensel_report(d: RatFn | Poly, c: PrimeDivisor) -> HenselWitness:
+def hensel_report(d: Poly, c: PrimeDivisor) -> HenselWitness:
     """Decide whether d becomes a square in the fraction field of the
     completed local ring at c: even valuation, and the unit part restricts
     to a square in the residue field.  Memoized on (d, c)."""

@@ -394,6 +394,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+MAX_NESTING = 100  # parenthesis levels; each costs four interpreter frames
+
+
 class _Parser:
     """Recursive descent for:  expr := ['-'] term (('+'|'-') term)*;
     term := factor ('*' factor)*;  factor := base ('^' nat)?;
@@ -403,6 +406,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
         self.variables = variables
 
     def _peek(self) -> tuple[str, str, int] | None:
@@ -470,11 +474,15 @@ class _Parser:
                 raise ParseError(f"unknown variable {value!r}", pos)
             return Poly.var(self.variables, value)
         if value == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING} levels", pos)
+            self.depth += 1
             p = self.expr()
             tok = self._peek()
             if tok is None or tok[1] != ")":
                 raise ParseError("expected ')'", tok[2] if tok else len(self.text))
             self._next()
+            self.depth -= 1
             return p
         raise ParseError(f"unexpected token {value!r}", pos)
 
@@ -983,7 +991,9 @@ def is_irreducible(p: Poly) -> bool:
 
 class RatFn:
     """Reduced fraction of polynomials: gcd(num, den) constant, denominator
-    primitive with positive leading coefficient."""
+    primitive with positive leading coefficient.  The engine uses it for
+    values on a rational curve, whose printed reduced form is part of a
+    certificate; functions on the surface are polynomials."""
 
     __slots__ = ("num", "den", "_hash")
 
@@ -1006,43 +1016,8 @@ class RatFn:
         self.den = den
         self._hash: int | None = None
 
-    @property
-    def variables(self) -> tuple[str, ...]:
-        return self.num.variables
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_constant(self) -> bool:
-        return self.num.is_constant() and self.den.is_constant()
-
-    def __mul__(self, other: RatFn | Poly | Scalar) -> RatFn:
-        if isinstance(other, Poly):
-            other = RatFn(other)
-        if isinstance(other, RatFn):
-            return RatFn(self.num * other.num, self.den * other.den)
-        return RatFn(self.num * other, self.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: RatFn | Poly) -> RatFn:
-        if isinstance(other, Poly):
-            other = RatFn(other)
-        if other.is_zero():
-            raise PolyError("division by the zero rational function")
-        return RatFn(self.num * other.den, self.den * other.num)
-
-    def __pow__(self, k: int) -> RatFn:
-        if not isinstance(k, int):
-            raise PolyError("rational function power must be an integer")
-        if k >= 0:
-            return RatFn(self.num ** k, self.den ** k)
-        if self.is_zero():
-            raise PolyError("negative power of the zero rational function")
-        return RatFn(self.den ** (-k), self.num ** (-k))
-
-    def __neg__(self) -> RatFn:
-        return RatFn(-self.num, self.den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RatFn):
@@ -1062,6 +1037,3 @@ class RatFn:
     def __repr__(self) -> str:
         return f"RatFn({self!s})"
 
-
-def as_ratfn(f: RatFn | Poly) -> RatFn:
-    return f if isinstance(f, RatFn) else RatFn(f)

@@ -11,7 +11,9 @@ The normalizer searches the finite set of scalings given by subset
 products of the entries (any similarity between forms with entries that
 are monomials times the canonical quadric lies in that set modulo
 squares) and matches the target pattern over all 24 orderings, all on
-exponent vectors mod 2.  Every hit is returned with a replayable witness.
+exponent vectors mod 2.  Every hit is returned with a replayable witness:
+chart polynomials for the scale and the four square factors, rational
+units and a permutation.  No fraction of functions on the surface is formed.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .funfield import (
     square_class,
     surface,
 )
-from .poly import Poly, RatFn, divide_out, parse_poly
+from .poly import Poly, divide_out, parse_poly
 
 
 class QuadformError(Exception):
@@ -236,8 +238,8 @@ def clifford_invariant(f: DiagForm) -> BrauerClass:
 class SimilarityWitness:
     """Certificate that scale * entry_i = unit_i * square_i^2 * target_perm(i)."""
 
-    scale: RatFn
-    square_factors: tuple[RatFn, RatFn, RatFn, RatFn]
+    scale: Poly
+    square_factors: tuple[Poly, Poly, Poly, Poly]
     units: tuple[Fraction, Fraction, Fraction, Fraction]
     permutation: tuple[int, int, int, int]  # source slot i -> target slot
 
@@ -284,10 +286,10 @@ def normalize_to_hpt(f: DiagForm) -> SimilarityWitness | None:
                     for i in subset:
                         lam = lam * f.entries[i]
                     return SimilarityWitness(
-                        scale=RatFn(lam),
+                        scale=lam,
                         square_factors=tuple(
-                            RatFn(Poly(s.variables, {tuple(a // 2 for a in exps[:-1]): 1})
-                                  * chart_quadric(s) ** (exps[-1] // 2))
+                            Poly(s.variables, {tuple(a // 2 for a in exps[:-1]): 1})
+                            * chart_quadric(s) ** (exps[-1] // 2)
                             for _, exps in scaled),
                         units=tuple(c for c, _ in scaled),
                         permutation=perm,
@@ -296,15 +298,17 @@ def normalize_to_hpt(f: DiagForm) -> SimilarityWitness | None:
 
 
 def verify_witness(f: DiagForm, w: SimilarityWitness) -> bool:
-    """Replay the witness arithmetic exactly."""
-    target = hpt_target(f.surface)
-    lam = w.scale.num
-    if not w.scale.den.is_constant() or w.scale.den.constant_value() != 1:
+    """Replay the witness arithmetic exactly.  A witness whose scale and
+    square factors are not polynomials over the fiber's variables, whose
+    units are not exact rationals, or whose permutation is not one of the
+    four slots fails."""
+    vs = f.surface.variables
+    if not (len(w.square_factors) == len(w.units) == 4
+            and all(isinstance(p, Poly) and p.variables == vs
+                    for p in (w.scale, *w.square_factors))
+            and all(isinstance(u, (int, Fraction)) for u in w.units)
+            and sorted(w.permutation) == [0, 1, 2, 3]):
         return False
-    for i in range(4):
-        sq = w.square_factors[i].num
-        lhs = lam * f.entries[i]
-        rhs = sq * sq * target[w.permutation[i]] * w.units[i]
-        if lhs != rhs:
-            return False
-    return True
+    target = hpt_target(f.surface)
+    return all(w.scale * e == sq * sq * target[j] * u
+               for e, sq, u, j in zip(f.entries, w.square_factors, w.units, w.permutation))

@@ -29,7 +29,7 @@ from quadrica.certify import (
 )
 from quadrica.cli import main
 from quadrica.funfield import prime_divisor, square_class, surface, unit_part
-from quadrica.poly import Poly, parse_poly
+from quadrica.poly import Poly
 from quadrica.quadform import (
     clifford_invariant,
     discriminant,

@@ -196,17 +196,34 @@ def test_residues_vanish_off_support(p2, F, Fb, xyz):
             assert res.is_trivial
 
 
+def reference_restrict(num, den, c):
+    """The restriction of num / den, a unit along c, to the curve:
+    homogenize both, pad them to equal degree with the boundary variables,
+    divide c out of both and compose with the parametrization of c."""
+    from quadrica.funfield import _compose, homogenize, model_degree, parametrize
+    from quadrica.poly import divide_out
+    s = c.surface
+    hn, hd = homogenize(s, num), homogenize(s, den)
+    for v, dn, dd in zip(s.boundary_vars, model_degree(s, hn), model_degree(s, hd)):
+        pad = Poly.var(s.variables, v)
+        hn, hd = hn * pad ** max(dd - dn, 0), hd * pad ** max(dn - dd, 0)
+    (vn, hn), (vd, hd) = divide_out(hn, c.poly), divide_out(hd, c.poly)
+    assert vn == vd
+    coords = parametrize(c).coords
+    return RatFn(_compose(hn, coords), _compose(hd, coords))
+
+
 def reference_tame_residue(u, c):
     """The residue as it was computed before unit parts: restrict
     a^n / b^m for each symbol (a, b) with m = v(a), n = v(b)."""
-    from quadrica.funfield import restrict_unit
     res = CurveClass.trivial()
     for a, b in u.sorted_symbols():
-        fa, fb = RatFn(a), RatFn(b)
-        m, n = unit_part(fa, c).valuation, unit_part(fb, c).valuation
+        m, n = unit_part(a, c).valuation, unit_part(b, c).valuation
         if m == 0 and n == 0:
             continue
-        res = res * CurveClass.from_ratfn(restrict_unit(fa ** n / fb ** m, c))
+        num = a ** max(n, 0) * b ** max(-m, 0)
+        den = b ** max(m, 0) * a ** max(-n, 0)
+        res = res * CurveClass.from_ratfn(reference_restrict(num, den, c))
     return res
 
 
@@ -315,21 +332,20 @@ def test_pair_profiles_are_memoized_per_surface(p2, xyz):
 
 def test_tame_residue_matches_reference_randomized(p2, F, Fb, xyz):
     # slots include polynomials the factorizer rejects (the two cubics);
-    # symbol() reduces them by gcds alone.  Along the line at infinity the
-    # reference's a^n / b^m has degree about deg(a) * deg(b), and its gcds
-    # stall on the cubics there, so z only meets slots built from the
-    # first six pieces.
+    # symbol() reduces them by gcds alone.  The reference restricts
+    # a^n / b^m without a gcd on the surface, so the cubics meet every
+    # divisor, the line at infinity too.  A slot stands for the fraction
+    # num / den by the product num * den, which has the same square class.
     rng = random.Random(606)
     x, y, z = xyz
     pool = [x, y, Fb, x + 1, y - 2, x - y, x ** 3 + y ** 2 + 1, x * y ** 2 + x + 1]
     divisors = [prime_divisor(p2, q) for q in (x, y, z, F, x + z, y - 2 * z, x - y)]
     for _ in range(80):
         c = rng.choice(divisors)
-        pieces = pool[:6] if c.poly == z else pool
 
         def slot():
-            return RatFn(rng.choice(pieces) * x ** rng.randint(0, 1) * y ** rng.randint(0, 1),
-                         rng.choice(pool[3:6]) ** rng.randint(0, 1))
+            return (rng.choice(pool) * x ** rng.randint(0, 1) * y ** rng.randint(0, 1)
+                    * rng.choice(pool[3:6]) ** rng.randint(0, 1))
         u = EMPTY_CLASS
         for _ in range(rng.randint(1, 3)):
             u = add_classes(u, symbol(slot(), slot()))

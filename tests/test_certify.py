@@ -35,7 +35,6 @@ from quadrica.quadform import (
     BundleType,
     QuadformError,
     canonical_quadric,
-    chart_quadric,
     clifford_invariant,
     discriminant,
     hpt_alpha,
@@ -164,7 +163,7 @@ def test_build_certificate_q2(p2):
     # similarity witness scale is y modulo squares
     from quadrica.funfield import square_class
     y = Poly.var(P2_VARS, "y")
-    assert square_class(cert.similarity.scale.num).support == frozenset({y})
+    assert square_class(cert.similarity.scale).support == frozenset({y})
 
 
 def test_build_certificate_q3(p2):
@@ -208,6 +207,28 @@ def test_replay_rejects_tampered_unchecked_fields(p2, xyz):
     a4 = build_certificate(BundleType.of("p1xp1", ((1, 1), (1, 1), (1, 1), (3, 3))))
     assert replay_certificate(a4)
     assert not replay_certificate(relabelled(a4, "A1"))
+
+
+def test_replay_rejects_tampered_witness(xyz):
+    import dataclasses
+    from quadrica.poly import RatFn
+    x, y, _ = xyz
+    cert = build_certificate(BundleType.of("p2", (2, 4, 4, 6)))
+    w = cert.similarity
+    sq = w.square_factors
+    assert sq[0] == x ** 2 and w.units[0] == 1
+
+    def with_witness(**fields):
+        return dataclasses.replace(cert, similarity=dataclasses.replace(w, **fields))
+    # a fraction whose numerator is the true factor, the true factor as a
+    # fraction, an inexact unit, a slot outside the four, and a missing
+    # square factor: each is refused without raising
+    for tampered in (with_witness(square_factors=(RatFn(x ** 2, y),) + sq[1:]),
+                     with_witness(square_factors=(RatFn(sq[0]),) + sq[1:]),
+                     with_witness(units=(1.0,) + w.units[1:]),
+                     with_witness(permutation=w.permutation[:3] + (4,)),
+                     with_witness(square_factors=sq[:3])):
+        assert replay_certificate(tampered) is False
 
 
 def relabelled(cert, rule):
@@ -546,7 +567,7 @@ def test_p2_rules_match_reference_chain():
                 construct_degeneration_p2(t)
             continue
         assert construct_degeneration_p2(t) == want, t
-    assert 0 < raised < len(enumerate_types("p2", 20))
+    assert 0 < raised < len(list(enumerate_types("p2", 20)))
 
 
 # The P^1 x P^1 case tables before the rule table: the first three entries
@@ -633,10 +654,10 @@ def test_branch_exclusivity_and_determinism():
 
 
 def test_enumerations():
-    assert len(enumerate_types("p2", 0)) == 1
-    assert enumerate_types("p2", 0) == [(0, 0, 0, 0)]
-    assert len(enumerate_types("p2", 6)) == 50
-    small = enumerate_types("p1xp1", 1)
+    assert len(list(enumerate_types("p2", 0))) == 1
+    assert list(enumerate_types("p2", 0)) == [(0, 0, 0, 0)]
+    assert len(list(enumerate_types("p2", 6))) == 50
+    small = list(enumerate_types("p1xp1", 1))
     assert ((0, 0), (0, 0), (0, 0), (0, 0)) in small
     assert ((1, 1), (1, 1), (1, 1), (1, 1)) in small
     assert all(list(t) == sorted(t) for t in small)
@@ -666,8 +687,23 @@ def reference_enumerate_types_p1xp1(bound):
 
 def test_enumerate_types_matches_reference():
     for bound in range(9):
-        assert enumerate_types("p2", bound) == reference_enumerate_types_p2(bound)
-        assert enumerate_types("p1xp1", bound) == reference_enumerate_types_p1xp1(bound)
+        assert list(enumerate_types("p2", bound)) == reference_enumerate_types_p2(bound)
+        assert list(enumerate_types("p1xp1", bound)) == reference_enumerate_types_p1xp1(bound)
+
+
+def test_enumeration_is_lazy():
+    # the first rows of the largest sweep need no type list: a list of its
+    # 650,966 types takes about 60 MB
+    import tracemalloc
+    from itertools import islice
+    tracemalloc.start()
+    try:
+        first = list(islice(enumerate_types("p1xp1", 12), 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == [((0, 0),) * 4, ((0, 0),) * 3 + ((0, 2),), ((0, 0),) * 3 + ((0, 4),)]
+    assert peak < 100_000
 
 
 def reference_select_rule_p1xp1(t):

@@ -145,6 +145,14 @@ def test_invariants_malformed_entry(capsys):
     assert code == 2 and "position" in err
 
 
+def test_invariants_deep_nesting_exit_2(capsys):
+    deep = "(" * 3000 + "x" + ")" * 3000
+    code, _, err = run_cli(capsys, "invariants", "--surface", "p2",
+                           "--entries", f"y;{deep};x*y;1")
+    assert code == 2 and "nested deeper than 100 levels" in err
+    assert "Traceback" not in err
+
+
 def test_invariants_homogeneous(capsys):
     code, out, _ = run_cli(
         capsys, "invariants", "--surface", "p2", "--homogeneous",
@@ -317,6 +325,24 @@ class ClosedAfter:
 
     def flush(self):
         pass
+
+
+def test_table_first_rows_take_little_memory(monkeypatch):
+    # three rows of the 650,966-row sweep: the types are enumerated lazily,
+    # and a list of them (with its job tuples) takes about 100 MB
+    import sys
+    import tracemalloc
+    reader = ClosedAfter(3)
+    monkeypatch.setattr(sys, "stdout", reader)
+    tracemalloc.start()
+    try:
+        code = main(["table", "--surface", "p1xp1", "--bound", "12"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        sys.stdout.close()
+    assert code == 141 and len(reader.text.splitlines()) == 3
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

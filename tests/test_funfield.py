@@ -19,7 +19,7 @@ from quadrica.funfield import (
 )
 from quadrica.poly import Poly, PolyError, RatFn, parse_poly
 
-from conftest import P1XP1_VARS, P2_VARS, clear_residue_memos
+from conftest import P2_VARS, clear_residue_memos
 
 T = ("t",)
 
@@ -43,11 +43,6 @@ def test_square_class_examples(F, Fb, xyz):
     assert square_class(x * y).support == frozenset({x, y})
     with pytest.raises(PolyError):
         square_class(Poly.zero(P2_VARS))
-
-
-def test_square_class_of_fraction(xyz):
-    x, y, _ = xyz
-    assert square_class(RatFn(Poly.const(P2_VARS, 1), x)).support == frozenset({x})
 
 
 def test_multiply_classes(F, xyz):
@@ -125,10 +120,10 @@ def test_valuation_along(p2, Fb, xyz):
     x, y, z = xyz
     dz = prime_divisor(p2, z)
     dx = prime_divisor(p2, x)
-    assert unit_part(RatFn(x), dz).valuation == -1
-    assert unit_part(RatFn(Fb), dz).valuation == -2
-    assert unit_part(RatFn(Fb), dx).valuation == 0
-    assert unit_part(RatFn(x ** 2 * y ** 2 * Fb), dx).valuation == 2
+    assert unit_part(x, dz).valuation == -1
+    assert unit_part(Fb, dz).valuation == -2
+    assert unit_part(Fb, dx).valuation == 0
+    assert unit_part(x ** 2 * y ** 2 * Fb, dx).valuation == 2
 
 
 # ------------------------------------------------------------- parametrize
@@ -197,37 +192,32 @@ def test_conic_without_small_point_reports_bound(p2, xyz):
 def test_restrict_examples(p2, Fb, xyz):
     x, y, _ = xyz
     dx = prime_divisor(p2, x)
-    assert restrict_unit(RatFn(y), dx) == RatFn(tpoly("t"))
-    assert restrict_unit(RatFn(Fb), dx) == RatFn(tpoly("t^2-2*t+1"))
-    assert restrict_unit(RatFn(Poly.const(P2_VARS, 1)), dx) == RatFn(Poly.const(T, 1))
+    assert restrict_unit(y, dx) == RatFn(tpoly("t"))
+    assert restrict_unit(Fb, dx) == RatFn(tpoly("t^2-2*t+1"))
+    assert restrict_unit(Poly.const(P2_VARS, 1), dx) == RatFn(Poly.const(T, 1))
 
 
 def test_restrict_requires_unit(p2, xyz):
     x, _, _ = xyz
     dx = prime_divisor(p2, x)
     with pytest.raises(PolyError, match="unit"):
-        restrict_unit(RatFn(x), dx)
+        restrict_unit(x, dx)
 
 
-def test_is_square_on_curve_examples(p2, F, Fb, xyz):
-    x, y, z = xyz
+def test_is_square_on_curve_examples(p2, Fb, xyz):
+    x, y, _ = xyz
     dx = prime_divisor(p2, x)
-    dz = prime_divisor(p2, z)
-    assert square_on_curve(RatFn(Fb), dx)            # (t-1)^2
-    assert not square_on_curve(RatFn(y), dx)         # t
-    # F at z = 0 is (x - y)^2; dividing by x^2 gives a unit along the
-    # boundary line whose restriction is ((t-1)/t)^2
-    assert F.substitute({"z": 0}) == parse_poly("x^2-2*x*y+y^2", P2_VARS)
-    assert square_on_curve(RatFn(F.substitute({"z": 0}), x ** 2), dz)
+    assert square_on_curve(Fb, dx)            # (t-1)^2
+    assert not square_on_curve(y, dx)         # t
 
 
 def test_hensel_examples(p2, Fb, xyz):
     x, _, z = xyz
     dx = prime_divisor(p2, x)
     dz = prime_divisor(p2, z)
-    assert hensel_report(RatFn(Fb), dx).passed
-    assert not hensel_report(RatFn(x), dx).passed   # odd valuation
-    rep = hensel_report(RatFn(Fb), dz)
+    assert hensel_report(Fb, dx).passed
+    assert not hensel_report(x, dx).passed   # odd valuation
+    rep = hensel_report(Fb, dz)
     assert rep.valuation == -2 and rep.passed
     # the unit part restricts to the (X - Y)^2 pattern over the line at
     # infinity: F(t, 1, 0) = (t - 1)^2, divided by the balancing square t^2
@@ -242,8 +232,7 @@ def test_hensel_square_stability(p2, F, Fb, xyz):
     for _ in range(60):
         u = units[rng.randrange(len(units))]
         c = divisors[rng.randrange(len(divisors))]
-        d = RatFn(Fb)
-        assert hensel_report(d * RatFn(u * u), c).passed == hensel_report(d, c).passed
+        assert hensel_report(Fb * u * u, c).passed == hensel_report(Fb, c).passed
 
 
 def test_square_on_curve_of_squares_randomized(p2, Fb, xyz):
@@ -255,7 +244,7 @@ def test_square_on_curve_of_squares_randomized(p2, Fb, xyz):
         f = Poly.const(P2_VARS, 1)
         for q in pool:
             f = f * q ** rng.randint(0, 2)
-        assert square_on_curve(RatFn(f * f), dx)
+        assert square_on_curve(f * f, dx)
 
 
 def test_curve_class_algebra():
@@ -290,15 +279,13 @@ def reference_homogenize(s, p):
 
 
 def reference_graded_pair(s, f):
-    """Each member padded by the full degree of the other."""
-    hn, hd = reference_homogenize(s, f.num), reference_homogenize(s, f.den)
+    """f homogenized over the boundary power of its full degree."""
     vs = s.variables
     if s.kind == "p2":
-        z = Poly.var(vs, "z")
-        return hn * z ** f.den.total_degree(), hd * z ** f.num.total_degree()
-    x0, y0 = Poly.var(vs, "x0"), Poly.var(vs, "y0")
-    return (hn * x0 ** f.den.degree_in("x1") * y0 ** f.den.degree_in("y1"),
-            hd * x0 ** f.num.degree_in("x1") * y0 ** f.num.degree_in("y1"))
+        den = Poly.var(vs, "z") ** f.total_degree()
+    else:
+        den = Poly.var(vs, "x0") ** f.degree_in("x1") * Poly.var(vs, "y0") ** f.degree_in("y1")
+    return reference_homogenize(s, f), den
 
 
 def reference_unit_part(f, c):
@@ -410,7 +397,7 @@ def units_met_while_certifying(monkeypatch):
     met = {}
     for space, name in ((brauer, "unit_part"), (certify, "hensel_report")):
         def record(f, c, _fn=getattr(space, name)):
-            met[(RatFn(f) if isinstance(f, Poly) else f, c)] = None
+            met[(f, c)] = None
             return _fn(f, c)
         monkeypatch.setattr(space, name, record)
     for data in certify.enumerate_types("p2", 8):
@@ -429,8 +416,7 @@ def test_grading_matches_two_branch_reference(monkeypatch):
         assert parametrize(c) == reference_parametrize(c), c
     for f, c in pairs:
         s = c.surface
-        for p in (f.num, f.den):
-            assert homogenize(s, p) == reference_homogenize(s, p)
+        assert homogenize(s, f) == reference_homogenize(s, f)
         pn, pd = graded_pair(s, f)
         qn, qd = reference_graded_pair(s, f)
         assert qn * pd == pn * qd

@@ -245,7 +245,7 @@ def test_normalize_to_hpt_q2prime(p2, Fb, xyz):
     assert w is not None
     assert verify_witness(q2p, w)
     # the witness scale is y modulo squares (x^2 y here)
-    assert square_class(w.scale.num).support == frozenset({y})
+    assert square_class(w.scale).support == frozenset({y})
 
 
 def test_normalize_to_hpt_p1xp1_canonical(p1xp1, x4):
@@ -254,7 +254,7 @@ def test_normalize_to_hpt_p1xp1_canonical(p1xp1, x4):
     q = make_affine_form((Poly.const(P1XP1_VARS, 1), y1, x1, x1 * y1 * Fc), p1xp1)
     w = normalize_to_hpt(q)
     assert w is not None and verify_witness(q, w)
-    assert square_class(w.scale.num).support == frozenset({x1, y1})
+    assert square_class(w.scale).support == frozenset({x1, y1})
 
 
 def test_normalize_to_hpt_identity(p2, Fb, xyz):
@@ -263,7 +263,7 @@ def test_normalize_to_hpt_identity(p2, Fb, xyz):
     w = normalize_to_hpt(fib)
     assert w is not None
     assert w.permutation == (0, 1, 2, 3)
-    assert w.scale.num.is_constant()
+    assert w.scale.is_constant()
 
 
 def test_normalize_to_hpt_rejects_wrong_pattern(p2, Fb, xyz):
@@ -312,8 +312,7 @@ def reference_normalize_to_hpt(f):
     it is only run on in-class fibers)."""
     from itertools import combinations, permutations
 
-    from quadrica.poly import (RatFn, exact_div, normalized_with_unit, poly_sqrt,
-                               square_class_part)
+    from quadrica.poly import exact_div, normalized_with_unit, poly_sqrt, square_class_part
     from quadrica.quadform import SimilarityWitness
     target = hpt_target(f.surface)
     for size in range(5):
@@ -328,9 +327,9 @@ def reference_normalize_to_hpt(f):
                     squares, units = [], []
                     for i in range(4):
                         unit, prim = normalized_with_unit(exact_div(scaled[i], reps[i]))
-                        squares.append(RatFn(poly_sqrt(prim)))
+                        squares.append(poly_sqrt(prim))
                         units.append(unit)
-                    return SimilarityWitness(RatFn(lam), tuple(squares), tuple(units), perm)
+                    return SimilarityWitness(lam, tuple(squares), tuple(units), perm)
     return None
 
 
